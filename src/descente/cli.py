@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .core_arith import common_prime_witness
 from .descent_engine import (
@@ -28,6 +29,7 @@ from .descent_engine import (
     gcd_instance,
     gcd_trace_instance,
     pair_encode,
+    Report,
     pentagon_instance,
     run_descent,
     vii31_instance,
@@ -63,18 +65,12 @@ class Config:
     bound: int
     format: str = "text"
     cache_path: str | None = None
-    workers: int = 1
-    weight_mode: str = "modern"
 
     def __post_init__(self):
         if self.bound < 1:
             raise DomainError("bound must be >= 1")
-        if self.workers < 1:
-            raise DomainError("workers must be >= 1")
         if self.format not in ("text", "jsonl"):
             raise DomainError(f"unknown format {self.format!r}")
-        if self.weight_mode not in ("modern", "walsh"):
-            raise DomainError(f"unknown weight mode {self.weight_mode!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,16 +154,11 @@ def parse_search_record(line: str) -> dict:
 
 def cmd_search(config: Config, out) -> int:
     start = time.monotonic()
-    if config.cache_path:
-        try:
-            with open(config.cache_path, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cache error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    found = exhaustive_search(
-        config.bound, workers=config.workers, cache_path=config.cache_path
-    )
+    try:
+        found = exhaustive_search(config.bound, cache_path=config.cache_path)
+    except OSError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
+        return EXIT_IO
     elapsed = round(time.monotonic() - start, 3)
     footer = footer_record(config.bound, len(found), elapsed)
     if config.format == "jsonl":
@@ -186,54 +177,79 @@ def cmd_search(config: Config, out) -> int:
 
 
 # ---------------------------------------------------------------------------
+# instance registry
+
+
+@dataclass(frozen=True)
+class _Instance:
+    """A named instance: its start-value count, a trace factory taking the
+    start values and weight mode to (instance, encoded start), and a report
+    factory per schema taking the bound and weight mode."""
+
+    arity: int
+    trace: Callable[[list[int], str], tuple[object, int]]
+    checks: dict[str, Callable[[int, str], Report]]
+
+
+def _fermat_trace(values: list[int], weight_mode: str) -> tuple[object, int]:
+    return fermat_instance(weight_mode), encode_candidate(CandidateSolution(*values))
+
+
+INSTANCES = {
+    "pentagon": _Instance(2, lambda v, _: (pentagon_instance(), pair_encode(*v)), {}),
+    "vii31": _Instance(
+        1,
+        lambda v, _: (vii31_trace_instance(), v[0]),
+        {
+            "id": lambda bound, _: check_id(vii31_instance(), bound),
+            "rd": lambda bound, _: check_rd(vii31_rd_instance(), bound),
+        },
+    ),
+    "gcd": _Instance(
+        2,
+        lambda v, _: (gcd_trace_instance(), pair_encode(*v)),
+        # The bound is over pair components, translated to the Cantor encoding.
+        {"rd": lambda bound, _: check_rd(gcd_instance(), pair_encode(bound, bound))},
+    ),
+    "fermat": _Instance(
+        4, _fermat_trace, {"id": lambda bound, mode: check_id(fermat_instance(mode), bound)}
+    ),
+    "walsh": _Instance(
+        4, _fermat_trace, {"idprime": lambda bound, _: check_id_prime(walsh_family(), bound)}
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # descent traces
 
 
-def _trace_start(name: str, values: list[int]) -> tuple[object, int]:
-    """The trace instance and encoded start value for a registered name."""
-    if name == "pentagon":
-        return pentagon_instance(), pair_encode(values[0], values[1])
-    if name == "vii31":
-        return vii31_trace_instance(), values[0]
-    if name == "gcd":
-        return gcd_trace_instance(), pair_encode(values[0], values[1])
-    raise DomainError(f"unknown trace instance {name!r}")
-
-
-DESCENT_ARITY = {"pentagon": 2, "vii31": 1, "gcd": 2, "fermat": 4, "walsh": 4}
-
-
 def cmd_descent(name: str, values: list[int], fmt: str, out, weight_mode: str = "modern") -> int:
-    if name not in DESCENT_ARITY:
+    entry = INSTANCES.get(name)
+    if entry is None:
         print(f"unknown instance {name!r}", file=sys.stderr)
         return EXIT_USAGE
-    if len(values) != DESCENT_ARITY[name]:
-        print(
-            f"instance {name!r} takes {DESCENT_ARITY[name]} start value(s)",
-            file=sys.stderr,
-        )
+    if len(values) != entry.arity:
+        print(f"instance {name!r} takes {entry.arity} start value(s)", file=sys.stderr)
         return EXIT_USAGE
-    if name in ("fermat", "walsh"):
-        c = CandidateSolution(*values)
-        if not is_counterexample(c):
-            print(
-                f"guard rejection: ({c.x0}, {c.x1}, {c.x2}, {c.x3}) is not a "
-                "counterexample (needs positive legs, x0^2 + x1^2 = x2^2 and "
-                "x0*x1 = 2*x3^2)",
-                file=out,
-            )
-            print(
-                "no descent to run; see `check id fermat --bound N` and "
-                "`search --bound N` for the vacuity certificates",
-                file=out,
-            )
-            return EXIT_OK
-        # Unreachable by theorem; wired anyway so a falsifying input descends.
-        inst = fermat_instance(weight_mode)
-        trace = run_descent(inst, encode_candidate(c), max_steps=1000)
-    else:
-        inst, start = _trace_start(name, values)
-        trace = run_descent(inst, start, max_steps=10_000)
+    # A fermat or walsh descent starts only from a counterexample, which the
+    # theorem rules out; it is wired anyway so a falsifying input descends.
+    if name in ("fermat", "walsh") and not is_counterexample(CandidateSolution(*values)):
+        x0, x1, x2, x3 = values
+        print(
+            f"guard rejection: ({x0}, {x1}, {x2}, {x3}) is not a "
+            "counterexample (needs positive legs, x0^2 + x1^2 = x2^2 and "
+            "x0*x1 = 2*x3^2)",
+            file=out,
+        )
+        print(
+            "no descent to run; see `check id fermat --bound N` and "
+            "`search --bound N` for the vacuity certificates",
+            file=out,
+        )
+        return EXIT_OK
+    inst, start = entry.trace(values, weight_mode)
+    trace = run_descent(inst, start, max_steps=10_000)
     lines = trace.to_jsonl() if fmt == "jsonl" else trace.to_text()
     for line in lines:
         print(line, file=out)
@@ -244,28 +260,12 @@ def cmd_descent(name: str, values: list[int], fmt: str, out, weight_mode: str = 
 # schema checks
 
 
-def _check_report(schema: str, name: str, bound: int, weight_mode: str):
-    """Run a registered (schema, instance) check; gcd bounds are over pair
-    components, translated to the Cantor encoding internally."""
-    if schema == "id" and name == "vii31":
-        return check_id(vii31_instance(), bound)
-    if schema == "id" and name == "fermat":
-        return check_id(fermat_instance(weight_mode), bound)
-    if schema == "rd" and name == "gcd":
-        return check_rd(gcd_instance(), pair_encode(bound, bound))
-    if schema == "rd" and name == "vii31":
-        return check_rd(vii31_rd_instance(), bound)
-    if schema == "idprime" and name == "walsh":
-        return check_id_prime(walsh_family(), bound)
-    raise DomainError(f"no registered {schema} instance named {name!r}")
-
-
 def cmd_check(schema: str, name: str, bound: int, fmt: str, out, weight_mode: str = "modern") -> int:
-    try:
-        report = _check_report(schema, name, bound, weight_mode)
-    except DomainError as exc:
-        print(str(exc), file=sys.stderr)
+    factory = INSTANCES[name].checks.get(schema) if name in INSTANCES else None
+    if factory is None:
+        print(f"no registered {schema} instance named {name!r}", file=sys.stderr)
         return EXIT_USAGE
+    report = factory(bound, weight_mode)
     lines = report.to_jsonl() if fmt == "jsonl" else report.to_text()
     for line in lines:
         print(line, file=out)
@@ -323,8 +323,6 @@ def build_parser() -> _Parser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
     p.add_argument("--cache", default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--weight-mode", choices=("modern", "walsh"), default="modern")
 
     p = sub.add_parser("descent", help="run and print one descent trace")
     p.add_argument("instance")
@@ -365,8 +363,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
                 bound=args.bound,
                 format=args.format,
                 cache_path=cache,
-                workers=args.workers,
-                weight_mode=args.weight_mode,
             )
             return cmd_search(config, out)
         if args.command == "descent":

@@ -435,14 +435,9 @@ def vii31_instance() -> DescentInstance:
     """
 
     def predicate(x: int) -> bool:
-        if x <= 1:
-            return True
-        d = 2
-        while d * d <= x:
-            if x % d == 0 and is_prime(d):
-                return True
-            d += 1
-        return True  # x itself is prime
+        """Constant true: 0 and 1 are outside the claim, and the least
+        divisor above 1 of any x > 1 is prime, so no x can fail."""
+        return True
 
     return DescentInstance(
         "vii31",
@@ -456,14 +451,7 @@ def vii31_instance() -> DescentInstance:
 def vii31_trace_instance() -> DescentInstance:
     """The narrative form of the VII.31 walk: descend through proper divisors
     until a prime remains."""
-
-    return DescentInstance(
-        "vii31",
-        predicate=lambda x: x <= 1 or is_prime(x),
-        weight=lambda x: x,
-        step=proper_divisor_step,
-        describe=lambda x: f"{x}" + (" (prime)" if is_prime(x) else ""),
-    )
+    return _walk_to_base("vii31", vii31_rd_instance())
 
 
 def vii31_rd_instance() -> ReductionDescentInstance:
@@ -481,9 +469,8 @@ def vii31_rd_instance() -> ReductionDescentInstance:
 
 
 def _euclid_terminates(v: int) -> bool:
-    a, b = pair_decode(v)
-    while b:
-        a, b = b, a % b
+    """Constant true: each remainder step strictly lowers the second
+    component, so Euclid's loop ends on every pair."""
     return True
 
 
@@ -514,12 +501,10 @@ def gcd_instance() -> ReductionDescentInstance:
 def gcd_trace_instance() -> DescentInstance:
     """The narrative form of the remainder descent: walk until the second
     component is 0."""
+    return _walk_to_base("gcd", gcd_instance())
 
-    rd = gcd_instance()
-    return DescentInstance(
-        "gcd",
-        predicate=rd.base,
-        weight=rd.weight,
-        step=rd.step,
-        describe=rd.describe,
-    )
+
+def _walk_to_base(name: str, rd: ReductionDescentInstance) -> DescentInstance:
+    """A trace instance that walks a reduction descent's steps until its base
+    class holds."""
+    return DescentInstance(name, rd.base, rd.weight, rd.step, rd.describe)

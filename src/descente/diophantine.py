@@ -136,20 +136,30 @@ def decompose_primitive_two_square(x0: int, x1: int, x2: int) -> tuple[int, int]
     return m, k
 
 
-def primitive_triples_up_to(max_x2: int):
-    """Yield every primitive PythTriple with positive legs and x2 <= max_x2,
-    with its Generators, ordered by (x2, smaller leg)."""
-    check_natural(max_x2)
-    found = []
+def generator_pairs(max_x2: int):
+    """Yield every coprime opposite-parity pair (p, q) with p > q >= 1 and
+    p^2 + q^2 <= max_x2, in increasing p, then increasing q.
+
+    These are exactly the generators of the primitive triples with positive
+    legs and hypotenuse at most max_x2.
+    """
     p = 2
     while p * p + 1 <= max_x2:
         for q in range(1 if p % 2 == 0 else 2, p, 2):
             if p * p + q * q > max_x2:
                 break
-            if math.gcd(p, q) != 1:
-                continue
-            g = Generators(i=0, p=p, q=q)
-            found.append((generate_triple(g), g))
+            if math.gcd(p, q) == 1:
+                yield p, q
         p += 1
+
+
+def primitive_triples_up_to(max_x2: int):
+    """Every primitive PythTriple with positive legs and x2 <= max_x2, with
+    its Generators, ordered by (x2, smaller leg)."""
+    check_natural(max_x2)
+    found = []
+    for p, q in generator_pairs(max_x2):
+        g = Generators(i=0, p=p, q=q)
+        found.append((generate_triple(g), g))
     found.sort(key=lambda tg: (tg[0].x2, min(tg[0].legs())))
     return found

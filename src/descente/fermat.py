@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -32,6 +31,7 @@ from .diophantine import (
     PythTriple,
     decompose_primitive_triple,
     decompose_primitive_two_square,
+    generator_pairs,
 )
 from .errors import DomainError
 from .proportions import split_coprime_square, split_sum_diff_square
@@ -365,20 +365,6 @@ def walsh_family() -> IndexedDescentFamily:
 # exhaustive desk-scale search
 
 
-def generator_blocks(bound_x2: int) -> list[tuple[int, int]]:
-    """All primitive-triple generator pairs with hypotenuse within bound."""
-    blocks = []
-    p = 2
-    while p * p + 1 <= bound_x2:
-        for q in range(1 if p % 2 == 0 else 2, p, 2):
-            if p * p + q * q > bound_x2:
-                break
-            if math.gcd(p, q) == 1:
-                blocks.append((p, q))
-        p += 1
-    return blocks
-
-
 def scan_generator_block(p: int, q: int, bound_x2: int) -> list[tuple[int, int, int, int]]:
     """Solutions among all multiples of the primitive triple of (p, q)."""
     sols = []
@@ -394,21 +380,23 @@ def scan_generator_block(p: int, q: int, bound_x2: int) -> list[tuple[int, int, 
     return sols
 
 
-def _load_cache(cache_path: str) -> set[tuple[int, int]]:
-    done = set()
+def _load_cache(cache_path: str) -> dict[tuple[int, int], int]:
+    """The largest bound each generator block was fully scanned to, read from
+    `p q bound done` lines; lines of any other shape are ignored."""
+    done: dict[tuple[int, int], int] = {}
     if os.path.exists(cache_path):
         with open(cache_path, encoding="utf-8") as fh:
             for line in fh:
                 parts = line.split()
-                if len(parts) == 3 and parts[2] == "done":
-                    done.add((int(parts[0]), int(parts[1])))
+                if len(parts) == 4 and parts[3] == "done":
+                    block = (int(parts[0]), int(parts[1]))
+                    done[block] = max(done.get(block, 0), int(parts[2]))
     return done
 
 
 def exhaustive_search(
     bound_x2: int,
     allow_zero: bool = False,
-    workers: int = 1,
     cache_path: str | None = None,
 ) -> list[CandidateSolution]:
     """All quadruples with 1 <= x0 <= x1, x0^2 + x1^2 = x2^2 <= bound_x2^2 and
@@ -418,42 +406,32 @@ def exhaustive_search(
     classification is restricted to coprime triples (plus the all-zero
     quadruple), which is where the descent's primitivity reduction bottoms
     out.  Expected result either way: nothing beyond the degenerate set.
+
+    With cache_path, a block is skipped when the cache records it done at a
+    bound at least bound_x2, and each block scanned without a solution is
+    recorded as done.  A block with a solution is never recorded, so a
+    resumed run scans and reports it again.
     """
     if bound_x2 < 1:
         raise DomainError("bound must be >= 1")
-    blocks = generator_blocks(bound_x2)
-    done = _load_cache(cache_path) if cache_path else set()
-    pending = [b for b in blocks if b not in done]
-
+    done = _load_cache(cache_path) if cache_path else {}
     found: list[tuple[int, int, int, int]] = []
-    if workers > 1 and pending:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (block, pool.submit(scan_generator_block, block[0], block[1], bound_x2))
-                for block in pending
-            ]
-            for block, fut in futures:
-                found.extend(fut.result())
-                _mark_done(cache_path, block)
-    else:
-        for block in pending:
-            found.extend(scan_generator_block(block[0], block[1], bound_x2))
-            _mark_done(cache_path, block)
+    # Line buffering hands each done mark to the OS as soon as it is written.
+    with (
+        open(cache_path, "a", encoding="utf-8", buffering=1) if cache_path else nullcontext()
+    ) as cache:
+        for p, q in generator_pairs(bound_x2):
+            if done.get((p, q), 0) >= bound_x2:
+                continue
+            sols = scan_generator_block(p, q, bound_x2)
+            found.extend(sols)
+            if cache and not sols:
+                cache.write(f"{p} {q} {bound_x2} done\n")
 
     results = {CandidateSolution(*sol) for sol in found}
     if allow_zero:
-        results.add(CandidateSolution(0, 0, 0, 0))
-        for v in range(1, bound_x2 + 1):
-            if coprime([0, v, v]):
-                results.add(CandidateSolution(0, v, v, 0))
-                results.add(CandidateSolution(v, 0, v, 0))
+        results |= degenerate_solutions()
     return sorted(results, key=lambda c: c.as_tuple())
-
-
-def _mark_done(cache_path: str | None, block: tuple[int, int]) -> None:
-    if cache_path:
-        with open(cache_path, "a", encoding="utf-8") as fh:
-            fh.write(f"{block[0]} {block[1]} done\n")
 
 
 def naive_exhaustive_search(bound_x2: int, allow_zero: bool = False) -> list[CandidateSolution]:

@@ -35,11 +35,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         Config(bound=0)
     with pytest.raises(DomainError):
-        Config(bound=5, workers=0)
-    with pytest.raises(DomainError):
         Config(bound=5, format="xml")
-    with pytest.raises(DomainError):
-        Config(bound=5, weight_mode="ancient")
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +128,28 @@ def test_search_unwritable_cache_exits_1(tmp_path):
     assert code == EXIT_IO
 
 
-def test_search_workers_agree():
-    code1, lines1 = run_cli("search", "--bound", "300", "--format", "jsonl")
-    code4, lines4 = run_cli("search", "--bound", "300", "--format", "jsonl", "--workers", "4")
-    assert code1 == code4 == EXIT_OK
-    assert json.loads(lines1[-1])["count"] == json.loads(lines4[-1])["count"] == 0
+def test_search_removed_options_exit_64():
+    assert run_cli("search", "--bound", "300", "--workers", "2") == (EXIT_USAGE, [])
+    assert run_cli("search", "--bound", "300", "--weight-mode", "walsh") == (EXIT_USAGE, [])
+
+
+def test_search_resume_keeps_found_counterexample(tmp_path, monkeypatch):
+    import descente.fermat as fermat
+
+    scan = fermat.scan_generator_block
+
+    def planted(p, q, bound_x2):
+        return [(3, 4, 5, 1)] if (p, q) == (2, 1) else scan(p, q, bound_x2)
+
+    monkeypatch.setattr(fermat, "scan_generator_block", planted)
+    cache = str(tmp_path / "cache.txt")
+    for _ in range(2):
+        code, lines = run_cli("search", "--bound", "100", "--format", "jsonl", "--cache", cache)
+        assert code == EXIT_COUNTEREXAMPLE
+        assert parse_search_record(lines[0]) == {
+            "record": "solution", "x0": 3, "x1": 4, "x2": 5, "x3": 1,
+        }
+        assert parse_search_record(lines[-1])["count"] == 1
 
 
 # ---------------------------------------------------------------------------

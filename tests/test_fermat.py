@@ -15,7 +15,7 @@ from descente.descent_engine import (
     quad_decode,
     run_descent,
 )
-from descente.diophantine import PythTriple
+from descente.diophantine import PythTriple, generator_pairs
 from descente.errors import DomainError
 from descente.fermat import (
     CandidateSolution,
@@ -30,7 +30,6 @@ from descente.fermat import (
     exhaustive_search,
     fermat_instance,
     frenicle_descend,
-    generator_blocks,
     is_counterexample,
     naive_exhaustive_search,
     reduce_area_witness,
@@ -298,12 +297,12 @@ def test_exhaustive_search_rejects_bad_bound():
         exhaustive_search(0)
 
 
-def test_generator_blocks_cover_all_primitive_triples():
+def test_generator_pairs_cover_all_primitive_triples():
     from .oracles import brute_primitive_triples
 
     bound = 200
     covered = set()
-    for p, q in generator_blocks(bound):
+    for p, q in generator_pairs(bound):
         for sol in scan_generator_block(p, q, bound):
             covered.add(sol)
         legs = sorted((2 * p * q, p * p - q * q))
@@ -313,7 +312,7 @@ def test_generator_blocks_cover_all_primitive_triples():
     }
     block_triples = {
         tuple(sorted((2 * p * q, p * p - q * q))) + (p * p + q * q,)
-        for p, q in generator_blocks(bound)
+        for p, q in generator_pairs(bound)
     }
     assert primitive_legs == block_triples
 
@@ -322,17 +321,38 @@ def test_search_with_cache_resumes(tmp_path):
     cache = tmp_path / "resume.txt"
     first = exhaustive_search(200, cache_path=str(cache))
     lines = cache.read_text().splitlines()
-    assert lines and all(line.endswith(" done") for line in lines)
+    assert lines and all(line.endswith(" 200 done") for line in lines)
     done = {tuple(map(int, line.split()[:2])) for line in lines}
-    assert done == set(generator_blocks(200))
+    assert done == set(generator_pairs(200))
     # resuming skips every block and returns the same (empty) result
     second = exhaustive_search(200, cache_path=str(cache))
     assert second == first == []
     assert cache.read_text().splitlines() == lines  # nothing re-scanned
 
 
-def test_search_parallel_agrees(tmp_path):
-    assert exhaustive_search(400, workers=4) == exhaustive_search(400)
+def test_search_cache_is_keyed_by_bound(tmp_path, monkeypatch):
+    import descente.fermat as fermat
+
+    cache = str(tmp_path / "bounds.txt")
+    exhaustive_search(100, cache_path=cache)
+    scanned = []
+
+    def spy(p, q, bound_x2):
+        scanned.append((p, q))
+        return scan_generator_block(p, q, bound_x2)
+
+    monkeypatch.setattr(fermat, "scan_generator_block", spy)
+    # Marks made at 100 do not cover 2000: (2, 1) has 380 more multiples.
+    assert exhaustive_search(2000, cache_path=cache) == []
+    assert scanned == list(generator_pairs(2000))
+    # Marks made at 2000 cover every smaller bound.
+    scanned.clear()
+    assert exhaustive_search(1000, cache_path=cache) == []
+    assert scanned == []
+    # A 3-field line from the old format counts for nothing.
+    (tmp_path / "bounds.txt").write_text("2 1 done\n")
+    exhaustive_search(100, cache_path=cache)
+    assert (2, 1) in scanned
 
 
 def test_search_at_2000_is_empty_within_time_budget():
