@@ -365,32 +365,49 @@ def walsh_family() -> IndexedDescentFamily:
 # exhaustive desk-scale search
 
 
+def _multiples(
+    primitive: tuple[int, int, int, int], bound_x2: int
+) -> list[tuple[int, int, int, int]]:
+    """Every multiple (d*x0, d*x1, d*x2, d*x3), d >= 1, with d*x2 <= bound_x2."""
+    x0, x1, x2, x3 = primitive
+    return [(d * x0, d * x1, d * x2, d * x3) for d in range(1, bound_x2 // x2 + 1)]
+
+
 def scan_generator_block(p: int, q: int, bound_x2: int) -> list[tuple[int, int, int, int]]:
-    """Solutions among all multiples of the primitive triple of (p, q)."""
-    sols = []
-    base = p * p + q * q
-    legs0 = 2 * p * q
-    legs1 = p * p - q * q
-    for d in range(1, bound_x2 // base + 1):
-        x0, x1 = sorted((legs0 * d, legs1 * d))
-        half = x0 * x1 // 2  # one leg is always even
-        x3 = math.isqrt(half)
-        if x3 * x3 == half:
-            sols.append((x0, x1, base * d, x3))
-    return sols
+    """Solutions among all multiples of the primitive triple of (p, q).
+
+    The primitive triple has legs a, b = 2pq, p^2 - q^2 and hypotenuse
+    p^2 + q^2, so a*b/2 = pq(p^2 - q^2).  Lemma: for d >= 1, d^2*a*b is twice
+    a square exactly when a*b is.  Proof: if d^2*a*b = 2*x3^2, each prime's
+    exponent gives 2*v(d) <= v(2) + 2*v(x3), so d | x3 and a*b = 2*(x3/d)^2;
+    the converse multiplies by d^2.  So one isqrt decides the whole block, and
+    multiples are emitted only on a hit.
+    """
+    half = p * q * (p * p - q * q)
+    x3 = math.isqrt(half)
+    if x3 * x3 != half:
+        return []
+    x0, x1 = sorted((2 * p * q, p * p - q * q))
+    return _multiples((x0, x1, p * p + q * q, x3), bound_x2)
 
 
 def _load_cache(cache_path: str) -> dict[tuple[int, int], int]:
     """The largest bound each generator block was fully scanned to, read from
-    `p q bound done` lines; lines of any other shape are ignored."""
+    `p q bound done` lines; lines of any other shape, or whose numbers do not
+    parse, are ignored."""
     done: dict[tuple[int, int], int] = {}
     if os.path.exists(cache_path):
-        with open(cache_path, encoding="utf-8") as fh:
+        with open(cache_path, encoding="utf-8", errors="replace") as fh:
             for line in fh:
                 parts = line.split()
-                if len(parts) == 4 and parts[3] == "done":
+                if len(parts) != 4 or parts[3] != "done":
+                    continue
+                try:
                     block = (int(parts[0]), int(parts[1]))
-                    done[block] = max(done.get(block, 0), int(parts[2]))
+                    bound = int(parts[2])
+                except ValueError:
+                    continue
+                done[block] = max(done.get(block, 0), bound)
     return done
 
 

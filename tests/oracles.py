@@ -58,3 +58,18 @@ def brute_two_square_solutions(max_x2: int, include_zero: bool = True):
 def is_perfect_square(n: int) -> bool:
     r = math.isqrt(n)
     return r * r == n
+
+
+def brute_multiples_scan(p: int, q: int, bound_x2: int):
+    """Every multiple d*(x0, x1, x2) with d*x2 <= bound_x2 of the triple with
+    generators (p, q), legs sorted, whose leg product is twice a square, as
+    (x0, x1, x2, x3) quadruples in increasing d: each multiple tested alone."""
+    sols = []
+    base = p * p + q * q
+    for d in range(1, bound_x2 // base + 1):
+        x0, x1 = sorted((2 * p * q * d, (p * p - q * q) * d))
+        half = x0 * x1 // 2  # one leg is always even
+        x3 = math.isqrt(half)
+        if x3 * x3 == half:
+            sols.append((x0, x1, base * d, x3))
+    return sols

@@ -128,6 +128,21 @@ def test_search_unwritable_cache_exits_1(tmp_path):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"2 1 x done\n", b"\xff\xfe2 1 100 done\n\x80 9\n"],
+    ids=["bad-number", "not-utf8"],
+)
+def test_search_ignores_unparsable_cache_lines(tmp_path, content):
+    cache = tmp_path / "cache.txt"
+    cache.write_bytes(content)
+    code, lines = run_cli("search", "--bound", "100", "--format", "jsonl", "--cache", str(cache))
+    assert code == EXIT_OK
+    assert parse_search_record(lines[-1])["count"] == 0
+    # (2, 1) was not covered by the unparsable line, so it is scanned and marked.
+    assert b"\n2 1 100 done\n" in cache.read_bytes()
+
+
 def test_search_removed_options_exit_64():
     assert run_cli("search", "--bound", "300", "--workers", "2") == (EXIT_USAGE, [])
     assert run_cli("search", "--bound", "300", "--weight-mode", "walsh") == (EXIT_USAGE, [])

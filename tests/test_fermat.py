@@ -5,6 +5,8 @@ import math
 import os
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from descente.core_arith import coprime
 from descente.descent_engine import (
@@ -19,6 +21,7 @@ from descente.diophantine import PythTriple, generator_pairs
 from descente.errors import DomainError
 from descente.fermat import (
     CandidateSolution,
+    _multiples,
     ClaimIData,
     ClaimIIData,
     claim_i,
@@ -280,6 +283,32 @@ def test_exhaustive_search_empty_at_100_and_300():
 
 def test_exhaustive_search_agrees_with_naive_at_300():
     assert exhaustive_search(300) == naive_exhaustive_search(300)
+
+
+def test_scan_generator_block_agrees_with_multiples_oracle_at_1e5():
+    from .oracles import brute_multiples_scan
+
+    bound = 10**5
+    for p, q in generator_pairs(bound):
+        assert scan_generator_block(p, q, bound) == brute_multiples_scan(p, q, bound)
+
+
+def _twice_a_square(n: int) -> bool:
+    from .oracles import is_perfect_square
+
+    return n % 2 == 0 and is_perfect_square(n // 2)
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 10**4))
+@example(1, 2, 3)  # a hit: 1*2 and 9*1*2 are both twice a square
+def test_multiple_is_twice_a_square_iff_primitive_is(a, b, d):
+    # The lemma behind scan_generator_block: d^2 | 2*x3^2 forces d | x3.
+    assert _twice_a_square(d * d * a * b) == _twice_a_square(a * b)
+
+
+def test_multiples_emits_every_multiple_up_to_the_bound():
+    assert _multiples((3, 4, 5, 1), 100) == [(3 * d, 4 * d, 5 * d, d) for d in range(1, 21)]
+    assert _multiples((3, 4, 5, 1), 4) == []
 
 
 def test_exhaustive_search_zeros_admitted():
