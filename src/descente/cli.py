@@ -5,7 +5,8 @@ Exit codes are stable and documented:
   1   I/O error (for example an unwritable cache path)
   2   `search` found a counterexample (a bug by theorem; CI must fail loudly)
   64  usage error (unknown command, instance, or malformed arguments)
-  65  precondition failure in `decompose` (valid numbers, invalid data)
+  65  precondition failure in `decompose` or `descent` (valid numbers,
+      invalid data, or a walk that needs a prime beyond the proven range)
 
 JSON-lines output is UTF-8, one object per line, keys in fixed order; every
 record type round-trips through its parser.
@@ -248,8 +249,12 @@ def cmd_descent(name: str, values: list[int], fmt: str, out, weight_mode: str = 
             file=out,
         )
         return EXIT_OK
-    inst, start = entry.trace(values, weight_mode)
-    trace = run_descent(inst, start, max_steps=10_000)
+    try:
+        inst, start = entry.trace(values, weight_mode)
+        trace = run_descent(inst, start, max_steps=10_000)
+    except DomainError as exc:
+        print(f"precondition failure: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     lines = trace.to_jsonl() if fmt == "jsonl" else trace.to_text()
     for line in lines:
         print(line, file=out)

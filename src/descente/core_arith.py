@@ -8,6 +8,7 @@ maximum of the divides ordering, so divides(x, 0) is always true.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,61 +37,145 @@ def gcd(x: int, y: int) -> int:
     return math.gcd(x, y)
 
 
+# Strong Miller-Rabin with the first k primes as bases is exact below these
+# limits (Jaeschke 1993; Sorenson and Webster 2015).  PRIME_LIMIT is the least
+# strong pseudoprime to all of the first 13 primes, so no fixed set of bases
+# used here decides primality at or above it.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+_BASE_TIERS = (
+    (3_215_031_751, 4),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (PRIME_LIMIT, 13),
+)
+# Factors below this are found by trial division before rho is tried.
+_TRIAL_LIMIT = 1024
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic trial division up to the integer square root."""
+    """Exact primality: trial division by the primes up to 47, then strong
+    Miller-Rabin with the fixed bases that are proven below PRIME_LIMIT.
+
+    At or above PRIME_LIMIT a witness still proves p composite; when none
+    is found, primality cannot be decided and DomainError is raised.
+    """
     check_natural(p)
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if math.gcd(p, _SMALL_PRIMORIAL) != 1:
+        return p <= _SMALL_PRIMES[-1] and p in _SMALL_PRIMES
+    if p < _SMALL_PRIMES[-1] ** 2:
+        return True
+    for limit, k in _BASE_TIERS:  # k stays 13 at or above PRIME_LIMIT
+        if p < limit:
+            break
+    # Strong test: p - 1 = d * 2**s with d odd; base a is a witness unless
+    # a**d is 1 or a**(d * 2**i) is p - 1 for some i < s.
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in _SMALL_PRIMES[:k]:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
+    if p >= PRIME_LIMIT:
+        raise DomainError(f"primality of {p} is not decided at or above {PRIME_LIMIT}")
     return True
 
 
 def least_prime_divisor(x: int) -> int:
-    """Smallest prime dividing x, found by descending through proper divisors.
-
-    Follows the composite-number reduction: repeatedly replace x by a proper
-    divisor until a prime remains.  Dividing out the largest prime factor at
-    each step makes the walk land on the least prime.  The same walk backs
-    the builtin 'vii31' descent instance.
-    """
+    """Smallest prime dividing x.  The same factorization backs the
+    builtin 'vii31' descent instance."""
     check_natural(x)
     if x in (0, 1):
         raise DomainError(f"least_prime_divisor undefined for {x}")
-    walk = x
-    while not is_prime(walk):
-        walk //= _largest_prime_factor(walk)
-    return walk
+    return _prime_factors(x)[0][0]
 
 
 def proper_divisor_step(x: int) -> int | None:
     """One step of the VII.31 divisor walk: x over its largest prime factor.
 
-    None for primes and for x <= 1 (nothing to descend to).
+    Dividing out the largest prime factor at each step makes the walk land
+    on the least prime.  None for primes and for x <= 1 (nothing to descend
+    to).
     """
     check_natural(x)
-    if x <= 1 or is_prime(x):
+    if x <= 1:
         return None
-    return x // _largest_prime_factor(x)
+    largest = _prime_factors(x)[-1][0]
+    return None if largest == x else x // largest
 
 
-def _largest_prime_factor(x: int) -> int:
-    largest = 1
-    n = x
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            largest = d
-            n //= d
+def _prime_factors(x: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of x >= 1, primes increasing.
+
+    Trial division finds the factors below _TRIAL_LIMIT; Pollard-Brent rho
+    splits what is left, and each factor is certified by is_prime.  A
+    cofactor at or above PRIME_LIMIT raises DomainError, which also bounds
+    the work: every composite below it has a factor under 2*10**12.
+    """
+    factors = []
+    n, d, stop = x, 2, _TRIAL_LIMIT
+    while d * d <= n and d < stop:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                e += 1
+                n //= d
+            factors.append((d, e))
         d += 1 if d == 2 else 2
-    if n > 1:
-        largest = n
-    return largest
+    if d * d > n:  # what is left is 1 or a prime
+        if n > 1:
+            factors.append((n, 1))
+        return factors
+    if n >= PRIME_LIMIT:
+        raise DomainError(f"cannot factor {x}: cofactor {n} is at or above {PRIME_LIMIT}")
+    large = []
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            large.append(m)
+        else:
+            f = _pollard_brent(m)
+            pending += [f, m // f]
+    return factors + [(p, large.count(p)) for p in sorted(set(large))]
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n, by Brent's variant of rho
+    with deterministic polynomials x*x + c."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # The batch overshot: retrace it one step at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 @dataclass(frozen=True)
@@ -118,24 +203,11 @@ class Factorization:
 
 
 def factorize(x: int) -> Factorization:
-    """Canonical factorization by repeated least-prime division; factorize(1) is empty."""
+    """Canonical factorization; factorize(1) is empty."""
     check_natural(x)
     if x == 0:
         raise DomainError("cannot factorize 0")
-    factors = []
-    n = x
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                e += 1
-                n //= d
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    return Factorization(tuple(factors))
+    return Factorization(tuple(_prime_factors(x)))
 
 
 def valuation(p: int, x: int) -> int:

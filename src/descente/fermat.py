@@ -411,6 +411,15 @@ def _load_cache(cache_path: str) -> dict[tuple[int, int], int]:
     return done
 
 
+def _ends_mid_line(path: str) -> bool:
+    """True iff the file at path is non-empty and does not end in a newline."""
+    with open(path, "rb") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return False
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) != b"\n"
+
+
 def exhaustive_search(
     bound_x2: int,
     allow_zero: bool = False,
@@ -437,6 +446,8 @@ def exhaustive_search(
     with (
         open(cache_path, "a", encoding="utf-8", buffering=1) if cache_path else nullcontext()
     ) as cache:
+        if cache and _ends_mid_line(cache_path):
+            cache.write("\n")  # so a cut-off last line cannot merge with a new mark
         for p, q in generator_pairs(bound_x2):
             if done.get((p, q), 0) >= bound_x2:
                 continue

@@ -13,6 +13,18 @@ def brute_is_prime(x: int) -> bool:
 
 
 @lru_cache(maxsize=None)
+def sieve_is_prime(n: int) -> tuple[bool, ...]:
+    """Primality flags for 0..n by the sieve of Eratosthenes, for ranges
+    where brute_is_prime is too slow."""
+    flags = [x >= 2 for x in range(n + 1)]
+    for d in range(2, math.isqrt(n) + 1):
+        if flags[d]:
+            for m in range(d * d, n + 1, d):
+                flags[m] = False
+    return tuple(flags)
+
+
+@lru_cache(maxsize=None)
 def brute_divisors(y: int, cap: int) -> tuple[int, ...]:
     """All x <= cap with x | y (convention: everything divides 0)."""
     if y == 0:

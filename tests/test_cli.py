@@ -143,6 +143,15 @@ def test_search_ignores_unparsable_cache_lines(tmp_path, content):
     assert b"\n2 1 100 done\n" in cache.read_bytes()
 
 
+def test_search_ends_cut_off_cache_line(tmp_path):
+    cache = tmp_path / "cache.txt"
+    cache.write_bytes(b"1")
+    code, _ = run_cli("search", "--bound", "200", "--cache", str(cache))
+    assert code == EXIT_OK
+    # The first mark starts a line of its own instead of extending "1".
+    assert cache.read_bytes().startswith(b"1\n2 1 200 done\n")
+
+
 def test_search_removed_options_exit_64():
     assert run_cli("search", "--bound", "300", "--workers", "2") == (EXIT_USAGE, [])
     assert run_cli("search", "--bound", "300", "--weight-mode", "walsh") == (EXIT_USAGE, [])
@@ -206,6 +215,12 @@ def test_descent_fermat_prints_guard_and_certificate_pointer():
     code, lines = run_cli("descent", "walsh", "3", "4", "5", "1")
     assert code == EXIT_OK
     assert lines[0].startswith("guard rejection:")
+
+
+def test_descent_vii31_beyond_prime_limit_exits_65(capsys):
+    code, lines = run_cli("descent", "vii31", "10000000000000000000000000000000000057")
+    assert (code, lines) == (EXIT_PRECONDITION, [])
+    assert capsys.readouterr().err.startswith("precondition failure:")
 
 
 def test_descent_unknown_instance_exits_64():

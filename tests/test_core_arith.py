@@ -5,8 +5,11 @@ independent brute-force oracles (see oracles.py)."""
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from descente.core_arith import (
+    PRIME_LIMIT,
     Factorization,
     common_prime_witness,
     coprime,
@@ -23,7 +26,7 @@ from descente.core_arith import (
 )
 from descente.errors import DomainError
 
-from .oracles import brute_divisors, brute_is_prime
+from .oracles import brute_divisors, brute_is_prime, sieve_is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +129,45 @@ def test_is_prime_matches_oracle_up_to_2000():
         assert is_prime(x) == brute_is_prime(x), x
 
 
+def test_sieve_oracle_matches_brute_oracle_up_to_2000():
+    assert list(sieve_is_prime(2000)) == [brute_is_prime(x) for x in range(2001)]
+
+
+def test_is_prime_matches_sieve_up_to_1e5():
+    flags = sieve_is_prime(10**5)
+    assert [x for x in range(10**5 + 1) if is_prime(x) != flags[x]] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # the least strong pseudoprime to the first k primes, k = 1 .. 11
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+        318665857834031151167461,
+        # Carmichael numbers
+        561,
+        41041,
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_undecided_at_prime_limit():
+    """PRIME_LIMIT is a strong pseudoprime to every base the test uses, so
+    it must be refused, never reported prime."""
+    with pytest.raises(DomainError):
+        is_prime(PRIME_LIMIT)
+    assert not is_prime(PRIME_LIMIT + 1)  # even: decided above the limit too
+
+
 def test_least_prime_divisor():
     assert least_prime_divisor(15) == 3
     assert least_prime_divisor(13) == 13
@@ -181,6 +223,36 @@ def test_factorization_value_round_trip():
         primes = [p for p, _ in f.factors]
         assert primes == sorted(primes) and len(set(primes)) == len(primes)
         assert all(brute_is_prime(p) for p in primes)
+
+
+PRIMES_BELOW_1E6 = [x for x, prime in enumerate(sieve_is_prime(10**6)) if prime]
+
+
+@given(st.sampled_from(PRIMES_BELOW_1E6), st.sampled_from(PRIMES_BELOW_1E6))
+def test_factorize_semiprime(p, q):
+    primes = sorted((p, q))
+    expected = ((p, 2),) if p == q else tuple((r, 1) for r in primes)
+    assert factorize(p * q).factors == expected
+    assert least_prime_divisor(p * q) == primes[0]
+    assert proper_divisor_step(p * q) == primes[0]
+
+
+def test_balanced_semiprime_near_1e18():
+    x = 1000000007 * 1000000009
+    assert factorize(x).factors == ((1000000007, 1), (1000000009, 1))
+    assert least_prime_divisor(x) == 1000000007
+    assert proper_divisor_step(x) == 1000000007
+    assert proper_divisor_step(1000000009) is None
+
+
+def test_factorize_beyond_prime_limit():
+    # Small factors are still found; a large cofactor is refused.
+    assert factorize(2**100 * 3**5).factors == ((2, 100), (3, 5))
+    for x in (PRIME_LIMIT, 10**37 + 57):
+        with pytest.raises(DomainError):
+            factorize(x)
+        with pytest.raises(DomainError):
+            proper_divisor_step(x)
 
 
 def test_factorization_validation():
