@@ -61,19 +61,6 @@ EXIT_USAGE = 64
 EXIT_PRECONDITION = 65
 
 
-@dataclass(frozen=True)
-class Config:
-    bound: int
-    format: str = "text"
-    cache_path: str | None = None
-
-    def __post_init__(self):
-        if self.bound < 1:
-            raise DomainError("bound must be >= 1")
-        if self.format not in ("text", "jsonl"):
-            raise DomainError(f"unknown format {self.format!r}")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with BSD-style usage exit code."""
 
@@ -153,16 +140,16 @@ def parse_search_record(line: str) -> dict:
     return rec
 
 
-def cmd_search(config: Config, out) -> int:
+def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
     start = time.monotonic()
     try:
-        found = exhaustive_search(config.bound, cache_path=config.cache_path)
+        found = exhaustive_search(bound, cache_path=cache_path)
     except OSError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_IO
     elapsed = round(time.monotonic() - start, 3)
-    footer = footer_record(config.bound, len(found), elapsed)
-    if config.format == "jsonl":
+    footer = footer_record(bound, len(found), elapsed)
+    if fmt == "jsonl":
         for c in found:
             print(json.dumps(solution_record(c)), file=out)
         print(json.dumps(footer), file=out)
@@ -237,6 +224,17 @@ def cmd_descent(name: str, values: list[int], fmt: str, out, weight_mode: str = 
     # theorem rules out; it is wired anyway so a falsifying input descends.
     if name in ("fermat", "walsh") and not is_counterexample(CandidateSolution(*values)):
         x0, x1, x2, x3 = values
+        if fmt == "jsonl":
+            rec = {
+                "record": "guard-rejection",
+                "instance": name,
+                "x0": x0,
+                "x1": x1,
+                "x2": x2,
+                "x3": x3,
+            }
+            print(json.dumps(rec), file=out)
+            return EXIT_OK
         print(
             f"guard rejection: ({x0}, {x1}, {x2}, {x3}) is not a "
             "counterexample (needs positive legs, x0^2 + x1^2 = x2^2 and "
@@ -364,12 +362,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             return cmd_triples(args.max_x2, args.primitive_only, args.format, out)
         if args.command == "search":
             cache = args.cache or os.environ.get("DESCENTE_CACHE") or None
-            config = Config(
-                bound=args.bound,
-                format=args.format,
-                cache_path=cache,
-            )
-            return cmd_search(config, out)
+            return cmd_search(args.bound, args.format, cache, out)
         if args.command == "descent":
             if any(v < 0 for v in args.values):
                 parser.error("start values must be naturals")

@@ -16,6 +16,8 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .core_arith import common_prime_witness, coprime, is_prime
@@ -391,24 +393,24 @@ def scan_generator_block(p: int, q: int, bound_x2: int) -> list[tuple[int, int, 
     return _multiples((x0, x1, p * p + q * q, x3), bound_x2)
 
 
-def _load_cache(cache_path: str) -> dict[tuple[int, int], int]:
-    """The largest bound each generator block was fully scanned to, read from
-    `p q bound done` lines; lines of any other shape, or whose numbers do not
-    parse, are ignored."""
-    done: dict[tuple[int, int], int] = {}
+def _load_cache(cache_path: str, bound_x2: int) -> int:
+    """The largest p of a `row p bound done` mark with bound >= bound_x2, or
+    0 if there is none.  Lines of any other shape, lines whose numbers do not
+    parse, and bytes that are not UTF-8 are ignored."""
+    last = 0
     if os.path.exists(cache_path):
         with open(cache_path, encoding="utf-8", errors="replace") as fh:
             for line in fh:
                 parts = line.split()
-                if len(parts) != 4 or parts[3] != "done":
+                if len(parts) != 4 or parts[0] != "row" or parts[3] != "done":
                     continue
                 try:
-                    block = (int(parts[0]), int(parts[1]))
-                    bound = int(parts[2])
+                    p, bound = int(parts[1]), int(parts[2])
                 except ValueError:
                     continue
-                done[block] = max(done.get(block, 0), bound)
-    return done
+                if bound >= bound_x2:
+                    last = max(last, p)
+    return last
 
 
 def _ends_mid_line(path: str) -> bool:
@@ -433,14 +435,15 @@ def exhaustive_search(
     quadruple), which is where the descent's primitivity reduction bottoms
     out.  Expected result either way: nothing beyond the degenerate set.
 
-    With cache_path, a block is skipped when the cache records it done at a
-    bound at least bound_x2, and each block scanned without a solution is
-    recorded as done.  A block with a solution is never recorded, so a
+    With cache_path, a mark `row p bound done` follows each generator row p:
+    every pair with p' <= p and p'^2 + q^2 <= bound was scanned without a
+    solution.  Rows up to the largest p marked at a bound >= bound_x2 are
+    skipped.  Once a solution is found no more marks are written, so a
     resumed run scans and reports it again.
     """
     if bound_x2 < 1:
         raise DomainError("bound must be >= 1")
-    done = _load_cache(cache_path) if cache_path else {}
+    last = _load_cache(cache_path, bound_x2) if cache_path else 0
     found: list[tuple[int, int, int, int]] = []
     # Line buffering hands each done mark to the OS as soon as it is written.
     with (
@@ -448,13 +451,13 @@ def exhaustive_search(
     ) as cache:
         if cache and _ends_mid_line(cache_path):
             cache.write("\n")  # so a cut-off last line cannot merge with a new mark
-        for p, q in generator_pairs(bound_x2):
-            if done.get((p, q), 0) >= bound_x2:
+        for p, row in groupby(generator_pairs(bound_x2), key=itemgetter(0)):
+            if p <= last:
                 continue
-            sols = scan_generator_block(p, q, bound_x2)
-            found.extend(sols)
-            if cache and not sols:
-                cache.write(f"{p} {q} {bound_x2} done\n")
+            for _, q in row:
+                found.extend(scan_generator_block(p, q, bound_x2))
+            if cache and not found:
+                cache.write(f"row {p} {bound_x2} done\n")
 
     results = {CandidateSolution(*sol) for sol in found}
     if allow_zero:

@@ -11,31 +11,17 @@ from descente.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
-    Config,
     main,
     parse_search_record,
     parse_triple_record,
 )
 from descente.descent_engine import DescentTrace, Report
-from descente.errors import DomainError
 
 
 def run_cli(*argv: str):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue().splitlines()
-
-
-# ---------------------------------------------------------------------------
-# config
-
-
-def test_config_validation():
-    Config(bound=10)
-    with pytest.raises(DomainError):
-        Config(bound=0)
-    with pytest.raises(DomainError):
-        Config(bound=5, format="xml")
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +116,8 @@ def test_search_unwritable_cache_exits_1(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [b"2 1 x done\n", b"\xff\xfe2 1 100 done\n\x80 9\n"],
-    ids=["bad-number", "not-utf8"],
+    [b"row 2 x done\n", b"2 1 x done\n", b"\xff\xferow 2 100 done\n\x80 9\n"],
+    ids=["bad-number", "old-bad-number", "not-utf8"],
 )
 def test_search_ignores_unparsable_cache_lines(tmp_path, content):
     cache = tmp_path / "cache.txt"
@@ -139,8 +125,8 @@ def test_search_ignores_unparsable_cache_lines(tmp_path, content):
     code, lines = run_cli("search", "--bound", "100", "--format", "jsonl", "--cache", str(cache))
     assert code == EXIT_OK
     assert parse_search_record(lines[-1])["count"] == 0
-    # (2, 1) was not covered by the unparsable line, so it is scanned and marked.
-    assert b"\n2 1 100 done\n" in cache.read_bytes()
+    # Row 2 was not covered by the unparsable line, so it is scanned and marked.
+    assert b"\nrow 2 100 done\n" in cache.read_bytes()
 
 
 def test_search_ends_cut_off_cache_line(tmp_path):
@@ -149,7 +135,18 @@ def test_search_ends_cut_off_cache_line(tmp_path):
     code, _ = run_cli("search", "--bound", "200", "--cache", str(cache))
     assert code == EXIT_OK
     # The first mark starts a line of its own instead of extending "1".
-    assert cache.read_bytes().startswith(b"1\n2 1 200 done\n")
+    assert cache.read_bytes().startswith(b"1\nrow 2 200 done\n")
+
+
+def test_search_bad_bound_or_format_exits_64(tmp_path, capsys):
+    cache = tmp_path / "cache.txt"
+    assert run_cli("search", "--bound", "0", "--cache", str(cache)) == (EXIT_USAGE, [])
+    assert capsys.readouterr().err == "bound must be >= 1\n"
+    assert not cache.exists()
+    assert run_cli("search", "--bound", "5", "--format", "xml") == (EXIT_USAGE, [])
+    err = capsys.readouterr().err
+    assert err.startswith("usage: descente search")
+    assert "argument --format: invalid choice: 'xml'" in err
 
 
 def test_search_removed_options_exit_64():
@@ -215,6 +212,16 @@ def test_descent_fermat_prints_guard_and_certificate_pointer():
     code, lines = run_cli("descent", "walsh", "3", "4", "5", "1")
     assert code == EXIT_OK
     assert lines[0].startswith("guard rejection:")
+
+
+@pytest.mark.parametrize("instance", ["fermat", "walsh"])
+def test_descent_guard_rejection_jsonl(instance):
+    code, lines = run_cli("descent", instance, "3", "4", "5", "1", "--format", "jsonl")
+    assert code == EXIT_OK
+    assert [json.loads(line) for line in lines] == [
+        {"record": "guard-rejection", "instance": instance, "x0": 3, "x1": 4, "x2": 5, "x3": 1}
+    ]
+    assert list(json.loads(lines[0])) == ["record", "instance", "x0", "x1", "x2", "x3"]
 
 
 def test_descent_vii31_beyond_prime_limit_exits_65(capsys):

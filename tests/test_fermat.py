@@ -3,9 +3,10 @@ descent wiring, and the exhaustive searches with their oracle."""
 
 import math
 import os
+import tempfile
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from descente.core_arith import coprime
@@ -346,14 +347,23 @@ def test_generator_pairs_cover_all_primitive_triples():
     assert primitive_legs == block_triples
 
 
+def _rows(bound_x2):
+    return sorted({p for p, _ in generator_pairs(bound_x2)})
+
+
+def _marked_rows(text):
+    return [int(line.split()[1]) for line in text.splitlines() if line.endswith(" done")]
+
+
 def test_search_with_cache_resumes(tmp_path):
     cache = tmp_path / "resume.txt"
     first = exhaustive_search(200, cache_path=str(cache))
     lines = cache.read_text().splitlines()
-    assert lines and all(line.endswith(" 200 done") for line in lines)
-    done = {tuple(map(int, line.split()[:2])) for line in lines}
-    assert done == set(generator_pairs(200))
-    # resuming skips every block and returns the same (empty) result
+    assert lines and all(
+        line.startswith("row ") and line.endswith(" 200 done") for line in lines
+    )
+    assert _marked_rows(cache.read_text()) == _rows(200)
+    # resuming skips every row and returns the same (empty) result
     second = exhaustive_search(200, cache_path=str(cache))
     assert second == first == []
     assert cache.read_text().splitlines() == lines  # nothing re-scanned
@@ -378,10 +388,50 @@ def test_search_cache_is_keyed_by_bound(tmp_path, monkeypatch):
     scanned.clear()
     assert exhaustive_search(1000, cache_path=cache) == []
     assert scanned == []
-    # A 3-field line from the old format counts for nothing.
-    (tmp_path / "bounds.txt").write_text("2 1 done\n")
-    exhaustive_search(100, cache_path=cache)
-    assert (2, 1) in scanned
+    # Lines of the older formats count for nothing: `p q done` (the first),
+    # where `12 5 done` would otherwise read as rows <= 12 done at bound 5,
+    # and `p q bound done` (one line per pair), where `5 2 200 done` would
+    # read as rows <= 2 done at bound 200 if the `row` tag went unchecked.
+    for old in ("2 1 done\n", "12 5 done\n", "2 1 200 done\n", "5 2 200 done\n"):
+        (tmp_path / "bounds.txt").write_text(old)
+        scanned.clear()
+        exhaustive_search(5, cache_path=cache)
+        assert scanned == [(2, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound=st.integers(1, 3000), data=st.data())
+def test_interrupted_search_resumes_without_skipping(bound, data):
+    import descente.fermat as fermat
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        cache = os.path.join(tmp, "cache.txt")
+        uncached = exhaustive_search(bound)
+        assert exhaustive_search(bound, cache_path=cache) == uncached
+        with open(cache) as fh:
+            marks = fh.read().splitlines()
+        assert _marked_rows("\n".join(marks)) == _rows(bound)
+        # An interruption: the first k marks survive, perhaps followed by a
+        # cut-off fragment of mark k + 1.
+        k = data.draw(st.integers(0, len(marks)), label="k")
+        kept = "".join(mark + "\n" for mark in marks[:k])
+        if k < len(marks):
+            kept += marks[k][: data.draw(st.integers(0, len(marks[k]) - 1), label="cut")]
+        with open(cache, "w") as fh:
+            fh.write(kept)
+
+        scanned = []
+
+        def spy(p, q, bound_x2):
+            scanned.append((p, q))
+            return scan_generator_block(p, q, bound_x2)
+
+        mp.setattr(fermat, "scan_generator_block", spy)
+        last = int(marks[k - 1].split()[1]) if k else 0
+        assert exhaustive_search(bound, cache_path=cache) == uncached
+        assert scanned == [(p, q) for p, q in generator_pairs(bound) if p > last]
+        with open(cache) as fh:
+            assert _marked_rows(fh.read()) == _rows(bound)
 
 
 def test_search_at_2000_is_empty_within_time_budget():
