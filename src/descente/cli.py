@@ -171,39 +171,37 @@ def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
 @dataclass(frozen=True)
 class _Instance:
     """A named instance: its start-value count, a trace factory taking the
-    start values and weight mode to (instance, encoded start), and a report
-    factory per schema taking the bound and weight mode."""
+    start values to (instance, encoded start), and a report factory per
+    schema taking the bound."""
 
     arity: int
-    trace: Callable[[list[int], str], tuple[object, int]]
-    checks: dict[str, Callable[[int, str], Report]]
+    trace: Callable[[list[int]], tuple[object, int]]
+    checks: dict[str, Callable[[int], Report]]
 
 
-def _fermat_trace(values: list[int], weight_mode: str) -> tuple[object, int]:
-    return fermat_instance(weight_mode), encode_candidate(CandidateSolution(*values))
+def _fermat_trace(values: list[int]) -> tuple[object, int]:
+    return fermat_instance(), encode_candidate(CandidateSolution(*values))
 
 
 INSTANCES = {
-    "pentagon": _Instance(2, lambda v, _: (pentagon_instance(), pair_encode(*v)), {}),
+    "pentagon": _Instance(2, lambda v: (pentagon_instance(), pair_encode(*v)), {}),
     "vii31": _Instance(
         1,
-        lambda v, _: (vii31_trace_instance(), v[0]),
+        lambda v: (vii31_trace_instance(), v[0]),
         {
-            "id": lambda bound, _: check_id(vii31_instance(), bound),
-            "rd": lambda bound, _: check_rd(vii31_rd_instance(), bound),
+            "id": lambda bound: check_id(vii31_instance(), bound),
+            "rd": lambda bound: check_rd(vii31_rd_instance(), bound),
         },
     ),
     "gcd": _Instance(
         2,
-        lambda v, _: (gcd_trace_instance(), pair_encode(*v)),
+        lambda v: (gcd_trace_instance(), pair_encode(*v)),
         # The bound is over pair components, translated to the Cantor encoding.
-        {"rd": lambda bound, _: check_rd(gcd_instance(), pair_encode(bound, bound))},
+        {"rd": lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound))},
     ),
-    "fermat": _Instance(
-        4, _fermat_trace, {"id": lambda bound, mode: check_id(fermat_instance(mode), bound)}
-    ),
+    "fermat": _Instance(4, _fermat_trace, {"id": lambda bound: check_id(fermat_instance(), bound)}),
     "walsh": _Instance(
-        4, _fermat_trace, {"idprime": lambda bound, _: check_id_prime(walsh_family(), bound)}
+        4, _fermat_trace, {"idprime": lambda bound: check_id_prime(walsh_family(), bound)}
     ),
 }
 
@@ -212,7 +210,7 @@ INSTANCES = {
 # descent traces
 
 
-def cmd_descent(name: str, values: list[int], fmt: str, out, weight_mode: str = "modern") -> int:
+def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
     entry = INSTANCES.get(name)
     if entry is None:
         print(f"unknown instance {name!r}", file=sys.stderr)
@@ -242,13 +240,13 @@ def cmd_descent(name: str, values: list[int], fmt: str, out, weight_mode: str = 
             file=out,
         )
         print(
-            "no descent to run; see `check id fermat --bound N` and "
+            "no descent to run; see `check id fermat N` and "
             "`search --bound N` for the vacuity certificates",
             file=out,
         )
         return EXIT_OK
     try:
-        inst, start = entry.trace(values, weight_mode)
+        inst, start = entry.trace(values)
         trace = run_descent(inst, start, max_steps=10_000)
     except DomainError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
@@ -263,12 +261,12 @@ def cmd_descent(name: str, values: list[int], fmt: str, out, weight_mode: str = 
 # schema checks
 
 
-def cmd_check(schema: str, name: str, bound: int, fmt: str, out, weight_mode: str = "modern") -> int:
+def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
     factory = INSTANCES[name].checks.get(schema) if name in INSTANCES else None
     if factory is None:
         print(f"no registered {schema} instance named {name!r}", file=sys.stderr)
         return EXIT_USAGE
-    report = factory(bound, weight_mode)
+    report = factory(bound)
     lines = report.to_jsonl() if fmt == "jsonl" else report.to_text()
     for line in lines:
         print(line, file=out)
@@ -331,14 +329,12 @@ def build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("values", type=int, nargs="*")
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p.add_argument("--weight-mode", choices=("modern", "walsh"), default="modern")
 
     p = sub.add_parser("check", help="bounded schema-obligation check")
     p.add_argument("schema", choices=("id", "rd", "idprime"))
     p.add_argument("instance")
     p.add_argument("bound", type=int)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p.add_argument("--weight-mode", choices=("modern", "walsh"), default="modern")
 
     p = sub.add_parser("decompose", help="triple / two-square / frenicle decompositions")
     p.add_argument("kind", choices=("triple", "two-square", "frenicle"))
@@ -366,15 +362,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if args.command == "descent":
             if any(v < 0 for v in args.values):
                 parser.error("start values must be naturals")
-            return cmd_descent(
-                args.instance, args.values, args.format, out, args.weight_mode
-            )
+            return cmd_descent(args.instance, args.values, args.format, out)
         if args.command == "check":
             if args.bound < 1:
                 parser.error("bound must be >= 1")
-            return cmd_check(
-                args.schema, args.instance, args.bound, args.format, out, args.weight_mode
-            )
+            return cmd_check(args.schema, args.instance, args.bound, args.format, out)
         if args.command == "decompose":
             if any(v < 0 for v in args.values):
                 parser.error("values must be naturals")

@@ -15,9 +15,6 @@ import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
 from typing import Optional
 
 from .core_arith import common_prime_witness, coprime, is_prime
@@ -33,7 +30,7 @@ from .diophantine import (
     PythTriple,
     decompose_primitive_triple,
     decompose_primitive_two_square,
-    generator_pairs,
+    generator_rows,
 )
 from .errors import DomainError
 from .proportions import split_coprime_square, split_sum_diff_square
@@ -109,28 +106,17 @@ def is_counterexample(c: CandidateSolution) -> bool:
     )
 
 
-def _satisfies_both_equations(c: CandidateSolution) -> bool:
-    return c.x0**2 + c.x1**2 == c.x2**2 and c.x0 * c.x1 == 2 * c.x3**2
-
-
-@lru_cache(maxsize=1)
 def degenerate_solutions() -> frozenset[CandidateSolution]:
     """The solutions that appear once zeros are admitted: the all-zero
     quadruple and the two coprime unit triangles.
 
-    Computed by brute force over coprime (or all-zero) quadruples below 3.
+    A zero leg makes the leg product 0, so x3 = 0, and makes the other leg
+    equal x2; (x0, x1, x2) coprime then makes that leg 1, unless all three
+    are 0.  With both legs positive there is no solution: that is the theorem.
     """
-    out = set()
-    for x0 in range(3):
-        for x1 in range(3):
-            for x2 in range(3):
-                for x3 in range(3):
-                    c = CandidateSolution(x0, x1, x2, x3)
-                    if not _satisfies_both_equations(c):
-                        continue
-                    if (x0, x1, x2) == (0, 0, 0) or coprime([x0, x1, x2]):
-                        out.add(c)
-    return frozenset(out)
+    return frozenset(
+        CandidateSolution(*t) for t in ((0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0))
+    )
 
 
 def reduce_triple_by_prime(t: PythTriple, z: int) -> PythTriple:
@@ -271,23 +257,18 @@ def _reduce_to_coprime(c: CandidateSolution) -> CandidateSolution:
     return c
 
 
-def fermat_instance(weight_mode: str = "modern") -> DescentInstance:
+def fermat_instance() -> DescentInstance:
     """Theorem-level indefinite descent over Cantor-encoded quadruples.
 
-    weight_mode 'modern' descends on x2; 'walsh' uses x2^2 + (2*x3)^2 + 1.
-    Both step through the primitivity reduction and Claims I, II.
+    It descends on x2 and steps through the primitivity reduction and
+    Claims I, II.  Walsh's weights belong to walsh_family.
     """
-    if weight_mode not in ("modern", "walsh"):
-        raise DomainError(f"unknown weight mode {weight_mode!r}")
 
     def predicate(v: int) -> bool:
         return not is_counterexample(decode_candidate(v))
 
     def weight(v: int) -> int:
-        c = decode_candidate(v)
-        if weight_mode == "modern":
-            return c.x2
-        return walsh_start_weight(c.x2, c.x3)
+        return decode_candidate(v).x2
 
     def step(v: int) -> Optional[int]:
         c = decode_candidate(v)
@@ -451,10 +432,10 @@ def exhaustive_search(
     ) as cache:
         if cache and _ends_mid_line(cache_path):
             cache.write("\n")  # so a cut-off last line cannot merge with a new mark
-        for p, row in groupby(generator_pairs(bound_x2), key=itemgetter(0)):
+        for p, qs in generator_rows(bound_x2):
             if p <= last:
                 continue
-            for _, q in row:
+            for q in qs:
                 found.extend(scan_generator_block(p, q, bound_x2))
             if cache and not found:
                 cache.write(f"row {p} {bound_x2} done\n")
@@ -462,29 +443,4 @@ def exhaustive_search(
     results = {CandidateSolution(*sol) for sol in found}
     if allow_zero:
         results |= degenerate_solutions()
-    return sorted(results, key=lambda c: c.as_tuple())
-
-
-def naive_exhaustive_search(bound_x2: int, allow_zero: bool = False) -> list[CandidateSolution]:
-    """Triple-loop oracle for exhaustive_search; O(bound^2), test scale only."""
-    results = set()
-    lo = 0 if allow_zero else 1
-    for x1 in range(lo, bound_x2 + 1):
-        for x0 in range(lo, x1 + 1):
-            x2 = math.isqrt(x0 * x0 + x1 * x1)
-            if x2 * x2 != x0 * x0 + x1 * x1 or x2 > bound_x2:
-                continue
-            prod = x0 * x1
-            if prod % 2:
-                continue
-            x3 = math.isqrt(prod // 2)
-            if 2 * x3 * x3 != prod:
-                continue
-            if allow_zero and not (
-                (x0, x1, x2) == (0, 0, 0) or coprime([x0, x1, x2])
-            ):
-                continue
-            results.add(CandidateSolution(x0, x1, x2, x3))
-            if allow_zero and x0 != x1:
-                results.add(CandidateSolution(x1, x0, x2, x3))
     return sorted(results, key=lambda c: c.as_tuple())

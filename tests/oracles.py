@@ -85,3 +85,33 @@ def brute_multiples_scan(p: int, q: int, bound_x2: int):
         if x3 * x3 == half:
             sols.append((x0, x1, base * d, x3))
     return sols
+
+
+def naive_exhaustive_search(bound_x2: int, allow_zero: bool = False):
+    """Every (x0, x1, x2, x3) with x0^2 + x1^2 = x2^2, x2 <= bound_x2 and
+    x0*x1 = 2*x3^2, sorted, by a double loop over the legs; O(bound^2).
+
+    Without allow_zero the legs are positive and x0 <= x1.  With allow_zero
+    a leg may be 0, both leg orders are listed, and only coprime triples
+    (plus the all-zero one) count.
+    """
+    results = set()
+    lo = 0 if allow_zero else 1
+    for x1 in range(lo, bound_x2 + 1):
+        for x0 in range(lo, x1 + 1):
+            s = x0 * x0 + x1 * x1
+            x2 = math.isqrt(s)
+            if x2 * x2 != s or x2 > bound_x2:
+                continue
+            prod = x0 * x1
+            if prod % 2:
+                continue
+            x3 = math.isqrt(prod // 2)
+            if 2 * x3 * x3 != prod:
+                continue
+            if allow_zero and math.gcd(math.gcd(x0, x1), x2) not in (0, 1):
+                continue
+            results.add((x0, x1, x2, x3))
+            if allow_zero and x0 != x1:
+                results.add((x1, x0, x2, x3))
+    return sorted(results)

@@ -33,7 +33,6 @@ from descente.diophantine import (
 )
 from descente.fermat import (
     exhaustive_search,
-    naive_exhaustive_search,
     walsh_family,
     walsh_start_weight,
     walsh_state_weight,
@@ -44,6 +43,7 @@ from .oracles import (
     brute_primitive_triples,
     brute_two_square_solutions,
     is_perfect_square,
+    naive_exhaustive_search,
 )
 from .test_descent import _random_rd_instance
 
@@ -73,7 +73,8 @@ def test_criterion_01_vacuity_at_desk_scale(announce):
     elapsed = time.monotonic() - start
     check(announce, found == [], f"counterexamples found: {found[:3]}")
     check(announce, elapsed < 60, f"search took {elapsed:.1f}s")
-    check(announce, exhaustive_search(300) == naive_exhaustive_search(300))
+    got = [c.as_tuple() for c in exhaustive_search(300)]
+    check(announce, got == naive_exhaustive_search(300))
 
 
 def test_criterion_02_degenerate_solution_set(announce):

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +216,23 @@ def test_descent_fermat_prints_guard_and_certificate_pointer():
     assert lines[0].startswith("guard rejection:")
 
 
+def test_guard_pointer_and_readme_commands_run(tmp_path, monkeypatch):
+    monkeypatch.delenv("DESCENTE_CACHE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    _, lines = run_cli("descent", "fermat", "3", "4", "5", "1")
+    pointed = re.findall(r"`([^`]*)`", lines[1])
+    assert len(pointed) == 2
+    for command in pointed:
+        assert run_cli(*command.replace("N", "100").split())[0] == EXIT_OK, command
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [argv for argv in commands if argv and argv[0] == "descente"]
+    assert len(commands) >= 10
+    for argv in commands:
+        assert run_cli(*argv[1:])[0] == EXIT_OK, argv
+
+
 @pytest.mark.parametrize("instance", ["fermat", "walsh"])
 def test_descent_guard_rejection_jsonl(instance):
     code, lines = run_cli("descent", instance, "3", "4", "5", "1", "--format", "jsonl")
@@ -262,10 +281,16 @@ def test_check_idprime_walsh_500_jsonl_round_trip():
     assert report.ok and report.schema == "idprime" and report.bound == 500
 
 
-def test_check_id_fermat_both_weight_modes():
-    for mode in ("modern", "walsh"):
-        code, _ = run_cli("check", "id", "fermat", "2000", "--weight-mode", mode)
-        assert code == EXIT_OK
+def test_check_id_fermat_has_no_weight_mode(capsys):
+    assert run_cli("check", "id", "fermat", "2000")[0] == EXIT_OK
+    capsys.readouterr()
+    for argv in (
+        ("check", "id", "fermat", "2000", "--weight-mode", "walsh"),
+        ("descent", "pentagon", "8", "5", "--weight-mode", "modern"),
+    ):
+        assert run_cli(*argv) == (EXIT_USAGE, [])
+        err = capsys.readouterr().err
+        assert f"descente: error: unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_check_unknown_instance_exits_64():

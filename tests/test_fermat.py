@@ -35,7 +35,6 @@ from descente.fermat import (
     fermat_instance,
     frenicle_descend,
     is_counterexample,
-    naive_exhaustive_search,
     reduce_area_witness,
     reduce_triple_by_prime,
     scan_generator_block,
@@ -218,22 +217,12 @@ def test_frenicle_descend_fragment_and_guard():
 
 
 def test_fermat_instance_check_id_vacuous():
-    for mode in ("modern", "walsh"):
-        report = check_id(fermat_instance(mode), 2000)
-        assert report.ok
-
-
-def test_fermat_instance_rejects_unknown_mode():
-    with pytest.raises(DomainError):
-        fermat_instance("ancient")
+    assert check_id(fermat_instance(), 2000).ok
 
 
 def test_fermat_instance_weights():
-    inst_m = fermat_instance("modern")
-    inst_w = fermat_instance("walsh")
     v = encode_candidate(CandidateSolution(3, 4, 5, 1))
-    assert inst_m.weight(v) == 5
-    assert inst_w.weight(v) == 25 + 4 + 1
+    assert fermat_instance().weight(v) == 5
 
 
 def test_walsh_family_check_vacuous_at_500():
@@ -283,7 +272,9 @@ def test_exhaustive_search_empty_at_100_and_300():
 
 
 def test_exhaustive_search_agrees_with_naive_at_300():
-    assert exhaustive_search(300) == naive_exhaustive_search(300)
+    from .oracles import naive_exhaustive_search
+
+    assert [c.as_tuple() for c in exhaustive_search(300)] == naive_exhaustive_search(300)
 
 
 def test_scan_generator_block_agrees_with_multiples_oracle_at_1e5():
@@ -313,12 +304,13 @@ def test_multiples_emits_every_multiple_up_to_the_bound():
 
 
 def test_exhaustive_search_zeros_admitted():
-    got = {c.as_tuple() for c in exhaustive_search(10, allow_zero=True)}
-    assert got == {(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)}
-    naive = {c.as_tuple() for c in naive_exhaustive_search(10, allow_zero=True)}
-    assert got == naive
+    from .oracles import naive_exhaustive_search
+
+    got = [c.as_tuple() for c in exhaustive_search(10, allow_zero=True)]
+    assert got == [(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)]
+    assert got == naive_exhaustive_search(10, allow_zero=True)
     # stable under larger bounds too
-    got50 = {c.as_tuple() for c in exhaustive_search(50, allow_zero=True)}
+    got50 = [c.as_tuple() for c in exhaustive_search(50, allow_zero=True)]
     assert got50 == got
 
 
@@ -345,6 +337,17 @@ def test_generator_pairs_cover_all_primitive_triples():
         for p, q in generator_pairs(bound)
     }
     assert primitive_legs == block_triples
+
+
+def test_generator_pairs_equal_a_brute_listing_to_400():
+    for bound in range(1, 401):
+        brute = [
+            (p, q)
+            for p in range(2, 21)
+            for q in range(1, p)
+            if (p + q) % 2 and math.gcd(p, q) == 1 and p * p + q * q <= bound
+        ]
+        assert list(generator_pairs(bound)) == brute
 
 
 def _rows(bound_x2):
@@ -397,6 +400,25 @@ def test_search_cache_is_keyed_by_bound(tmp_path, monkeypatch):
         scanned.clear()
         exhaustive_search(5, cache_path=cache)
         assert scanned == [(2, 1)]
+
+
+def test_warm_search_enumerates_no_pair(tmp_path, monkeypatch):
+    cache = str(tmp_path / "warm.txt")
+    assert exhaustive_search(10**4, cache_path=cache) == []
+    calls = []
+    gcd = math.gcd
+
+    def counting(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counting)
+    # Every row is marked, so no row's pairs are generated.
+    assert exhaustive_search(10**4, cache_path=cache) == []
+    assert calls == []
+    # The spy does see the pairs of an uncached run.
+    assert exhaustive_search(10**4) == []
+    assert calls
 
 
 @settings(max_examples=60, deadline=None)
