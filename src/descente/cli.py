@@ -19,40 +19,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable
 
-from .core_arith import common_prime_witness
-from .descent_engine import (
-    check_id,
-    check_id_prime,
-    check_rd,
-    gcd_instance,
-    gcd_trace_instance,
-    pair_encode,
-    Report,
-    pentagon_instance,
-    run_descent,
-    vii31_instance,
-    vii31_rd_instance,
-    vii31_trace_instance,
-)
-from .diophantine import (
-    PythTriple,
-    decompose_primitive_two_square,
-    decompose_sum_of_squares,
-    frenicle_xxxviii,
-    primitive_triples_up_to,
-)
 from .errors import DomainError
-from .fermat import (
-    CandidateSolution,
-    encode_candidate,
-    exhaustive_search,
-    fermat_instance,
-    is_counterexample,
-    walsh_family,
-)
+
+# Each command imports the package modules it uses when it runs, so that a
+# command loads, and compiles, no module it does not use.
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -96,6 +67,8 @@ def parse_triple_record(line: str) -> dict:
 
 
 def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
+    from .diophantine import PythTriple, primitive_triples_up_to
+
     rows = []
     for t, g in primitive_triples_up_to(max_x2):
         top = 1 if primitive_only else max_x2 // t.x2
@@ -119,14 +92,9 @@ def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
 # search
 
 
-def solution_record(c: CandidateSolution) -> dict:
-    return {
-        "record": "solution",
-        "x0": c.x0,
-        "x1": c.x1,
-        "x2": c.x2,
-        "x3": c.x3,
-    }
+def solution_record(solution: tuple[int, int, int, int]) -> dict:
+    x0, x1, x2, x3 = solution
+    return {"record": "solution", "x0": x0, "x1": x1, "x2": x2, "x3": x3}
 
 
 def footer_record(bound: int, count: int, elapsed: float) -> dict:
@@ -141,9 +109,11 @@ def parse_search_record(line: str) -> dict:
 
 
 def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
+    from .certificate import search
+
     start = time.monotonic()
     try:
-        found = exhaustive_search(bound, cache_path=cache_path)
+        found = search(bound, cache_path)
     except OSError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -154,8 +124,8 @@ def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
             print(json.dumps(solution_record(c)), file=out)
         print(json.dumps(footer), file=out)
     else:
-        for c in found:
-            print(f"counterexample: ({c.x0}, {c.x1}, {c.x2}, {c.x3})", file=out)
+        for x0, x1, x2, x3 in found:
+            print(f"counterexample: ({x0}, {x1}, {x2}, {x3})", file=out)
         print(
             f"bound {footer['bound']}: {footer['count']} counterexample(s) "
             f"in {footer['elapsed']}s",
@@ -168,42 +138,59 @@ def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
 # instance registry
 
 
-@dataclass(frozen=True)
 class _Instance:
     """A named instance: its start-value count, a trace factory taking the
     start values to (instance, encoded start), and a report factory per
     schema taking the bound."""
 
-    arity: int
-    trace: Callable[[list[int]], tuple[object, int]]
-    checks: dict[str, Callable[[int], Report]]
+    __slots__ = ("arity", "trace", "checks")
+
+    def __init__(self, arity: int, trace, checks: dict):
+        self.arity, self.trace, self.checks = arity, trace, checks
 
 
-def _fermat_trace(values: list[int]) -> tuple[object, int]:
-    return fermat_instance(), encode_candidate(CandidateSolution(*values))
+def instances() -> dict[str, _Instance]:
+    """The registry of named instances, keyed by name."""
+    from .descent_engine import (
+        check_id,
+        check_id_prime,
+        check_rd,
+        gcd_instance,
+        gcd_trace_instance,
+        pair_encode,
+        pentagon_instance,
+        vii31_instance,
+        vii31_rd_instance,
+        vii31_trace_instance,
+    )
+    from .fermat import CandidateSolution, encode_candidate, fermat_instance, walsh_family
 
+    def fermat_trace(values: list[int]) -> tuple[object, int]:
+        return fermat_instance(), encode_candidate(CandidateSolution(*values))
 
-INSTANCES = {
-    "pentagon": _Instance(2, lambda v: (pentagon_instance(), pair_encode(*v)), {}),
-    "vii31": _Instance(
-        1,
-        lambda v: (vii31_trace_instance(), v[0]),
-        {
-            "id": lambda bound: check_id(vii31_instance(), bound),
-            "rd": lambda bound: check_rd(vii31_rd_instance(), bound),
-        },
-    ),
-    "gcd": _Instance(
-        2,
-        lambda v: (gcd_trace_instance(), pair_encode(*v)),
-        # The bound is over pair components, translated to the Cantor encoding.
-        {"rd": lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound))},
-    ),
-    "fermat": _Instance(4, _fermat_trace, {"id": lambda bound: check_id(fermat_instance(), bound)}),
-    "walsh": _Instance(
-        4, _fermat_trace, {"idprime": lambda bound: check_id_prime(walsh_family(), bound)}
-    ),
-}
+    return {
+        "pentagon": _Instance(2, lambda v: (pentagon_instance(), pair_encode(*v)), {}),
+        "vii31": _Instance(
+            1,
+            lambda v: (vii31_trace_instance(), v[0]),
+            {
+                "id": lambda bound: check_id(vii31_instance(), bound),
+                "rd": lambda bound: check_rd(vii31_rd_instance(), bound),
+            },
+        ),
+        "gcd": _Instance(
+            2,
+            lambda v: (gcd_trace_instance(), pair_encode(*v)),
+            # The bound is over pair components, translated to the Cantor encoding.
+            {"rd": lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound))},
+        ),
+        "fermat": _Instance(
+            4, fermat_trace, {"id": lambda bound: check_id(fermat_instance(), bound)}
+        ),
+        "walsh": _Instance(
+            4, fermat_trace, {"idprime": lambda bound: check_id_prime(walsh_family(), bound)}
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +198,10 @@ INSTANCES = {
 
 
 def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
-    entry = INSTANCES.get(name)
+    from .descent_engine import run_descent
+    from .fermat import CandidateSolution, is_counterexample
+
+    entry = instances().get(name)
     if entry is None:
         print(f"unknown instance {name!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -262,7 +252,8 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
 
 
 def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
-    factory = INSTANCES[name].checks.get(schema) if name in INSTANCES else None
+    registry = instances()
+    factory = registry[name].checks.get(schema) if name in registry else None
     if factory is None:
         print(f"no registered {schema} instance named {name!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -278,6 +269,14 @@ def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
 
 
 def cmd_decompose(kind: str, values: list[int], out) -> int:
+    from .core_arith import common_prime_witness
+    from .diophantine import (
+        PythTriple,
+        decompose_primitive_two_square,
+        decompose_sum_of_squares,
+        frenicle_xxxviii,
+    )
+
     arity = {"triple": 3, "two-square": 3, "frenicle": 4}
     if kind not in arity:
         print(f"unknown decomposition kind {kind!r}", file=sys.stderr)

@@ -136,27 +136,6 @@ def decompose_primitive_two_square(x0: int, x1: int, x2: int) -> tuple[int, int]
     return m, k
 
 
-def _row(p: int, start: int, stop: int):
-    # A function of its own, so each row's generator keeps its own p.
-    return (q for q in range(start, stop, 2) if math.gcd(p, q) == 1)
-
-
-def generator_rows(max_x2: int):
-    """Yield (p, qs) for every p that has a generator pair, in increasing p.
-
-    qs lazily yields, in increasing order, each q of opposite parity with
-    1 <= q < p, gcd(p, q) == 1 and p^2 + q^2 <= max_x2.  A row's least q
-    (1 for even p, 2 for odd p) is coprime to p, so every yielded row is
-    non-empty; a caller can skip a row without iterating its qs.
-    """
-    p = 2
-    while p * p + 1 <= max_x2:
-        start = 1 if p % 2 == 0 else 2
-        if p * p + start * start <= max_x2:
-            yield p, _row(p, start, min(p, math.isqrt(max_x2 - p * p) + 1))
-        p += 1
-
-
 def generator_pairs(max_x2: int):
     """Yield every coprime opposite-parity pair (p, q) with p > q >= 1 and
     p^2 + q^2 <= max_x2, in increasing p, then increasing q.
@@ -164,9 +143,12 @@ def generator_pairs(max_x2: int):
     These are exactly the generators of the primitive triples with positive
     legs and hypotenuse at most max_x2.
     """
-    for p, qs in generator_rows(max_x2):
-        for q in qs:
-            yield p, q
+    p = 2
+    while p * p + 1 <= max_x2:
+        for q in range(1 if p % 2 == 0 else 2, min(p, math.isqrt(max_x2 - p * p) + 1), 2):
+            if math.gcd(p, q) == 1:
+                yield p, q
+        p += 1
 
 
 def primitive_triples_up_to(max_x2: int):

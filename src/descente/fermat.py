@@ -4,19 +4,18 @@ x0, x1 >= 1 excludes x0*x1 == 2*x3^2.
 
 The claims of the descent are runnable code even though their shared
 precondition (a genuine counterexample) is unsatisfiable: that emptiness is
-the theorem, and the exhaustive searches below certify it at desk scale.
+the theorem, and the row sieve of the certificate module certifies it at
+desk scale.
 Each claim's constructive core is independently satisfiable and tested
 through the proportions and diophantine modules.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
+from .certificate import search
 from .core_arith import common_prime_witness, coprime, is_prime
 from .descent_engine import (
     DescentInstance,
@@ -30,7 +29,6 @@ from .diophantine import (
     PythTriple,
     decompose_primitive_triple,
     decompose_primitive_two_square,
-    generator_rows,
 )
 from .errors import DomainError
 from .proportions import split_coprime_square, split_sum_diff_square
@@ -348,99 +346,21 @@ def walsh_family() -> IndexedDescentFamily:
 # exhaustive desk-scale search
 
 
-def _multiples(
-    primitive: tuple[int, int, int, int], bound_x2: int
-) -> list[tuple[int, int, int, int]]:
-    """Every multiple (d*x0, d*x1, d*x2, d*x3), d >= 1, with d*x2 <= bound_x2."""
-    x0, x1, x2, x3 = primitive
-    return [(d * x0, d * x1, d * x2, d * x3) for d in range(1, bound_x2 // x2 + 1)]
-
-
-def scan_generator_block(p: int, q: int, bound_x2: int) -> list[tuple[int, int, int, int]]:
-    """Solutions among all multiples of the primitive triple of (p, q).
-
-    The primitive triple has legs a, b = 2pq, p^2 - q^2 and hypotenuse
-    p^2 + q^2, so a*b/2 = pq(p^2 - q^2).  Lemma: for d >= 1, d^2*a*b is twice
-    a square exactly when a*b is.  Proof: if d^2*a*b = 2*x3^2, each prime's
-    exponent gives 2*v(d) <= v(2) + 2*v(x3), so d | x3 and a*b = 2*(x3/d)^2;
-    the converse multiplies by d^2.  So one isqrt decides the whole block, and
-    multiples are emitted only on a hit.
-    """
-    half = p * q * (p * p - q * q)
-    x3 = math.isqrt(half)
-    if x3 * x3 != half:
-        return []
-    x0, x1 = sorted((2 * p * q, p * p - q * q))
-    return _multiples((x0, x1, p * p + q * q, x3), bound_x2)
-
-
-def _load_cache(cache_path: str, bound_x2: int) -> int:
-    """The largest p of a `row p bound done` mark with bound >= bound_x2, or
-    0 if there is none.  Lines of any other shape, lines whose numbers do not
-    parse, and bytes that are not UTF-8 are ignored."""
-    last = 0
-    if os.path.exists(cache_path):
-        with open(cache_path, encoding="utf-8", errors="replace") as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) != 4 or parts[0] != "row" or parts[3] != "done":
-                    continue
-                try:
-                    p, bound = int(parts[1]), int(parts[2])
-                except ValueError:
-                    continue
-                if bound >= bound_x2:
-                    last = max(last, p)
-    return last
-
-
-def _ends_mid_line(path: str) -> bool:
-    """True iff the file at path is non-empty and does not end in a newline."""
-    with open(path, "rb") as fh:
-        if fh.seek(0, os.SEEK_END) == 0:
-            return False
-        fh.seek(-1, os.SEEK_END)
-        return fh.read(1) != b"\n"
-
-
 def exhaustive_search(
     bound_x2: int,
     allow_zero: bool = False,
     cache_path: str | None = None,
 ) -> list[CandidateSolution]:
     """All quadruples with 1 <= x0 <= x1, x0^2 + x1^2 = x2^2 <= bound_x2^2 and
-    x0*x1 = 2*x3^2, enumerated through generators and multiples.
+    x0*x1 = 2*x3^2, from the row sieve of certificate.search, which also
+    documents the resume cache at cache_path.
 
     With allow_zero, zero-leg quadruples are admitted as well; there the
     classification is restricted to coprime triples (plus the all-zero
     quadruple), which is where the descent's primitivity reduction bottoms
     out.  Expected result either way: nothing beyond the degenerate set.
-
-    With cache_path, a mark `row p bound done` follows each generator row p:
-    every pair with p' <= p and p'^2 + q^2 <= bound was scanned without a
-    solution.  Rows up to the largest p marked at a bound >= bound_x2 are
-    skipped.  Once a solution is found no more marks are written, so a
-    resumed run scans and reports it again.
     """
-    if bound_x2 < 1:
-        raise DomainError("bound must be >= 1")
-    last = _load_cache(cache_path, bound_x2) if cache_path else 0
-    found: list[tuple[int, int, int, int]] = []
-    # Line buffering hands each done mark to the OS as soon as it is written.
-    with (
-        open(cache_path, "a", encoding="utf-8", buffering=1) if cache_path else nullcontext()
-    ) as cache:
-        if cache and _ends_mid_line(cache_path):
-            cache.write("\n")  # so a cut-off last line cannot merge with a new mark
-        for p, qs in generator_rows(bound_x2):
-            if p <= last:
-                continue
-            for q in qs:
-                found.extend(scan_generator_block(p, q, bound_x2))
-            if cache and not found:
-                cache.write(f"row {p} {bound_x2} done\n")
-
-    results = {CandidateSolution(*sol) for sol in found}
+    results = {CandidateSolution(*sol) for sol in search(bound_x2, cache_path)}
     if allow_zero:
         results |= degenerate_solutions()
-    return sorted(results, key=lambda c: c.as_tuple())
+    return sorted(results, key=CandidateSolution.as_tuple)

@@ -115,3 +115,34 @@ def naive_exhaustive_search(bound_x2: int, allow_zero: bool = False):
             if allow_zero and x0 != x1:
                 results.add((x1, x0, x2, x3))
     return sorted(results)
+
+
+def primitive_triple_count(max_x2: int) -> int:
+    """The number of primitive Pythagorean triples with positive legs and
+    x2 <= max_x2, about max_x2 / (2*pi) (D. N. Lehmer, 1900).
+
+    These are the coprime pairs p > q >= 1 of opposite parity with
+    p^2 + q^2 <= max_x2.  A common divisor d of such a pair is odd, so a
+    Moebius sum over odd d of opposite-parity lattice points counts them.
+    """
+    root = math.isqrt(max_x2)
+    mu = [1] * (root + 1)
+    composite = [False] * (root + 1)
+    for d in range(2, root + 1):
+        if not composite[d]:
+            for k in range(d, root + 1, d):
+                composite[k] = True
+                mu[k] = -mu[k]
+            for k in range(d * d, root + 1, d * d):
+                mu[k] = 0
+
+    def opposite_parity_points(m: int) -> int:
+        # Pairs p > q >= 1 of opposite parity with p^2 + q^2 <= m: for each
+        # q, the p in q+1, q+3, ... up to isqrt(m - q^2).
+        total, q = 0, 1
+        while q * q + (q + 1) ** 2 <= m:
+            total += (math.isqrt(m - q * q) - q + 1) // 2
+            q += 1
+        return total
+
+    return sum(mu[d] * opposite_parity_points(max_x2 // (d * d)) for d in range(1, root + 1, 2))

@@ -157,14 +157,17 @@ def test_search_removed_options_exit_64():
 
 
 def test_search_resume_keeps_found_counterexample(tmp_path, monkeypatch):
-    import descente.fermat as fermat
+    import descente.certificate as certificate
 
-    scan = fermat.scan_generator_block
+    scan = certificate.scan_generator_block
 
     def planted(p, q, bound_x2):
         return [(3, 4, 5, 1)] if (p, q) == (2, 1) else scan(p, q, bound_x2)
 
-    monkeypatch.setattr(fermat, "scan_generator_block", planted)
+    monkeypatch.setattr(certificate, "scan_generator_block", planted)
+    # The residue masks would filter out (2, 1): 2*1*3 = 6 is no square mod 11.
+    # With all-ones masks every generator pair reaches the exact test.
+    monkeypatch.setattr(certificate, "_residue_masks", lambda m: [(1 << m) - 1] * m)
     cache = str(tmp_path / "cache.txt")
     for _ in range(2):
         code, lines = run_cli("search", "--bound", "100", "--format", "jsonl", "--cache", cache)

@@ -9,27 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from descente import certificate
+from descente.certificate import _multiples, scan_generator_block
 from descente.core_arith import coprime
-from descente.descent_engine import (
-    check_id,
-    check_id_prime,
-    pair_decode,
-    pair_encode,
-    quad_decode,
-    run_descent,
-)
+from descente.descent_engine import check_id, check_id_prime, pair_encode, run_descent
 from descente.diophantine import PythTriple, generator_pairs
 from descente.errors import DomainError
 from descente.fermat import (
     CandidateSolution,
-    _multiples,
     ClaimIData,
     ClaimIIData,
     claim_i,
-    claim_ii,
     decode_candidate,
     degenerate_solutions,
-    descend_claim_ii,
     encode_candidate,
     exhaustive_search,
     fermat_instance,
@@ -37,7 +29,6 @@ from descente.fermat import (
     is_counterexample,
     reduce_area_witness,
     reduce_triple_by_prime,
-    scan_generator_block,
     walsh_claim_iii,
     walsh_family,
     walsh_start_weight,
@@ -92,7 +83,7 @@ def test_reduce_triple_by_prime():
 
 
 def test_reduce_triple_by_prime_preserves_equation_up_to_300():
-    from .oracles import brute_is_prime, brute_triples
+    from .oracles import brute_triples
 
     for x0, x1, x2 in brute_triples(300, include_zero_legs=True):
         for z in (2, 3, 5, 7, 11, 13):
@@ -372,18 +363,24 @@ def test_search_with_cache_resumes(tmp_path):
     assert cache.read_text().splitlines() == lines  # nothing re-scanned
 
 
-def test_search_cache_is_keyed_by_bound(tmp_path, monkeypatch):
-    import descente.fermat as fermat
+def _spy_coverage(mp, covered):
+    """Append to covered every pair (p, q) the sieve covers: the bits of each
+    row block's parity-and-coprime mask, before the residue masks."""
+    coprime_bits = certificate._coprime_bits
 
+    def spy(p, factors, q0, width):
+        bits = coprime_bits(p, factors, q0, width)
+        covered.extend((p, q0 + i) for i in range(width) if bits >> i & 1)
+        return bits
+
+    mp.setattr(certificate, "_coprime_bits", spy)
+
+
+def test_search_cache_is_keyed_by_bound(tmp_path, monkeypatch):
     cache = str(tmp_path / "bounds.txt")
     exhaustive_search(100, cache_path=cache)
     scanned = []
-
-    def spy(p, q, bound_x2):
-        scanned.append((p, q))
-        return scan_generator_block(p, q, bound_x2)
-
-    monkeypatch.setattr(fermat, "scan_generator_block", spy)
+    _spy_coverage(monkeypatch, scanned)
     # Marks made at 100 do not cover 2000: (2, 1) has 380 more multiples.
     assert exhaustive_search(2000, cache_path=cache) == []
     assert scanned == list(generator_pairs(2000))
@@ -405,27 +402,19 @@ def test_search_cache_is_keyed_by_bound(tmp_path, monkeypatch):
 def test_warm_search_enumerates_no_pair(tmp_path, monkeypatch):
     cache = str(tmp_path / "warm.txt")
     assert exhaustive_search(10**4, cache_path=cache) == []
-    calls = []
-    gcd = math.gcd
-
-    def counting(*args):
-        calls.append(args)
-        return gcd(*args)
-
-    monkeypatch.setattr(math, "gcd", counting)
-    # Every row is marked, so no row's pairs are generated.
+    covered = []
+    _spy_coverage(monkeypatch, covered)
+    # Every row is marked, so no row is sieved.
     assert exhaustive_search(10**4, cache_path=cache) == []
-    assert calls == []
+    assert covered == []
     # The spy does see the pairs of an uncached run.
     assert exhaustive_search(10**4) == []
-    assert calls
+    assert covered == list(generator_pairs(10**4))
 
 
 @settings(max_examples=60, deadline=None)
 @given(bound=st.integers(1, 3000), data=st.data())
 def test_interrupted_search_resumes_without_skipping(bound, data):
-    import descente.fermat as fermat
-
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         cache = os.path.join(tmp, "cache.txt")
         uncached = exhaustive_search(bound)
@@ -443,12 +432,7 @@ def test_interrupted_search_resumes_without_skipping(bound, data):
             fh.write(kept)
 
         scanned = []
-
-        def spy(p, q, bound_x2):
-            scanned.append((p, q))
-            return scan_generator_block(p, q, bound_x2)
-
-        mp.setattr(fermat, "scan_generator_block", spy)
+        _spy_coverage(mp, scanned)
         last = int(marks[k - 1].split()[1]) if k else 0
         assert exhaustive_search(bound, cache_path=cache) == uncached
         assert scanned == [(p, q) for p, q in generator_pairs(bound) if p > last]
