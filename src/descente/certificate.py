@@ -27,6 +27,9 @@ from .errors import DomainError
 # Theory, section 1.7 (64, 63, 65, 11), and four more primes; at 2.5e5 the
 # masks leave 69 of 39,788 pairs for the exact test.
 MODULI = (64, 63, 65, 11, 17, 19, 23)
+# Coprime factors of the composite moduli, whose masks _masks builds from
+# the masks of the factors: 324 residue evaluations instead of 8,194.
+CRT_SPLITS = {63: (7, 9), 65: (5, 13)}
 # The most bits a row handles at once; longer rows are sieved block by
 # block, so memory stays bounded at any bound.
 BLOCK_BITS = 1 << 16
@@ -43,6 +46,19 @@ def _residue_masks(m: int) -> list[int]:
     ]
 
 
+def _masks(m: int) -> list[int]:
+    """_residue_masks(m).  For m in CRT_SPLITS, with coprime factors m1, m2,
+    it is built from the masks mod m1 and mod m2: by the Chinese remainder
+    theorem a residue is a square mod m iff it is one mod m1 and mod m2."""
+    if m not in CRT_SPLITS:
+        return _residue_masks(m)
+    m1, m2 = CRT_SPLITS[m]
+    low = (1 << m) - 1
+    t1 = [_tile(mask, m1, m) & low for mask in _residue_masks(m1)]
+    t2 = [_tile(mask, m2, m) & low for mask in _residue_masks(m2)]
+    return [t1[a % m1] & t2[a % m2] for a in range(m)]
+
+
 def _tile(pattern: int, period: int, width: int) -> int:
     """pattern, whose bits lie below period, repeated every period bits over
     at least width bits."""
@@ -53,12 +69,12 @@ def _tile(pattern: int, period: int, width: int) -> int:
 
 
 def _residue_tiles(bound_x2: int) -> list[tuple[int, list[int]]]:
-    """(m, masks) for each m of MODULI, each mask of _residue_masks(m) tiled
+    """(m, masks) for each m of MODULI, each mask of _masks(m) tiled
     over m more bits than the widest block at bound_x2, so that it still
     covers the block when shifted by q0 % m."""
     # No row is wider than isqrt(bound_x2 // 2) + 1 bits.
     span = min(BLOCK_BITS, math.isqrt(bound_x2 // 2) + 1)
-    return [(m, [_tile(mask, m, span + m) for mask in _residue_masks(m)]) for m in MODULI]
+    return [(m, [_tile(mask, m, span + m) for mask in _masks(m)]) for m in MODULI]
 
 
 def _odd_prime_factors(n: int, primes: list[int]) -> list[int]:

@@ -150,7 +150,8 @@ class _Instance:
 
 
 def instances() -> dict[str, _Instance]:
-    """The registry of named instances, keyed by name."""
+    """The registry of named instances, keyed by name.  Only the fermat and
+    walsh entries import descente.fermat, when they run."""
     from .descent_engine import (
         check_id,
         check_id_prime,
@@ -163,10 +164,26 @@ def instances() -> dict[str, _Instance]:
         vii31_rd_instance,
         vii31_trace_instance,
     )
-    from .fermat import CandidateSolution, encode_candidate, fermat_instance, walsh_family
 
     def fermat_trace(values: list[int]) -> tuple[object, int]:
+        from .fermat import CandidateSolution, encode_candidate, fermat_instance
+
         return fermat_instance(), encode_candidate(CandidateSolution(*values))
+
+    def fermat_id(bound: int):
+        from .fermat import fermat_instance
+
+        return check_id(fermat_instance(), bound)
+
+    def walsh_trace(values: list[int]) -> tuple[object, int]:
+        from .fermat import CandidateSolution, encode_walsh_candidate, walsh_trace_instance
+
+        return walsh_trace_instance(), encode_walsh_candidate(CandidateSolution(*values))
+
+    def walsh_idprime(bound: int):
+        from .fermat import walsh_family
+
+        return check_id_prime(walsh_family(), bound)
 
     return {
         "pentagon": _Instance(2, lambda v: (pentagon_instance(), pair_encode(*v)), {}),
@@ -184,12 +201,8 @@ def instances() -> dict[str, _Instance]:
             # The bound is over pair components, translated to the Cantor encoding.
             {"rd": lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound))},
         ),
-        "fermat": _Instance(
-            4, fermat_trace, {"id": lambda bound: check_id(fermat_instance(), bound)}
-        ),
-        "walsh": _Instance(
-            4, fermat_trace, {"idprime": lambda bound: check_id_prime(walsh_family(), bound)}
-        ),
+        "fermat": _Instance(4, fermat_trace, {"id": fermat_id}),
+        "walsh": _Instance(4, walsh_trace, {"idprime": walsh_idprime}),
     }
 
 
@@ -197,9 +210,14 @@ def instances() -> dict[str, _Instance]:
 # descent traces
 
 
+def _is_counterexample(values: list[int]) -> bool:
+    from .fermat import CandidateSolution, is_counterexample
+
+    return is_counterexample(CandidateSolution(*values))
+
+
 def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
     from .descent_engine import run_descent
-    from .fermat import CandidateSolution, is_counterexample
 
     entry = instances().get(name)
     if entry is None:
@@ -210,7 +228,7 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
         return EXIT_USAGE
     # A fermat or walsh descent starts only from a counterexample, which the
     # theorem rules out; it is wired anyway so a falsifying input descends.
-    if name in ("fermat", "walsh") and not is_counterexample(CandidateSolution(*values)):
+    if name in ("fermat", "walsh") and not _is_counterexample(values):
         x0, x1, x2, x3 = values
         if fmt == "jsonl":
             rec = {

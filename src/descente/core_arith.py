@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -178,21 +178,21 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "factors")):
     """Canonical prime factorization: (prime, exponent) pairs, primes increasing."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        primes = [p for p, _ in self.factors]
+    def __new__(cls, factors: tuple[tuple[int, int], ...]):
+        primes = [p for p, _ in factors]
         if primes != sorted(set(primes)):
             raise DomainError("factorization primes must be strictly increasing")
-        for p, e in self.factors:
+        for p, e in factors:
             if e < 1:
                 raise DomainError(f"exponent of {p} must be positive")
             if not is_prime(p):
                 raise DomainError(f"{p} is not prime")
+        return tuple.__new__(cls, (factors,))
 
     @property
     def value(self) -> int:
@@ -207,7 +207,9 @@ def factorize(x: int) -> Factorization:
     check_natural(x)
     if x == 0:
         raise DomainError("cannot factorize 0")
-    return Factorization(tuple(_prime_factors(x)))
+    # _prime_factors has certified every prime it returns, so the checks of
+    # Factorization.__new__ are skipped rather than proving them again.
+    return tuple.__new__(Factorization, (tuple(_prime_factors(x)),))
 
 
 def valuation(p: int, x: int) -> int:

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections import namedtuple
+from collections.abc import Callable
 
-from .core_arith import is_prime, proper_divisor_step
 from .errors import DomainError
 
 Predicate = Callable[[int], bool]
 Weight = Callable[[int], int]
-Step = Callable[[int], Optional[int]]
+Step = Callable[[int], int | None]
 
 
 # ---------------------------------------------------------------------------
@@ -55,72 +54,63 @@ def quad_decode(v: int) -> tuple[int, int, int, int]:
 # instance types
 
 
-@dataclass(frozen=True)
-class DescentInstance:
+class DescentInstance(
+    namedtuple("DescentInstance", "name predicate weight step describe", defaults=(str,))
+):
     """Indefinite descent: every counterexample steps to a smaller one.
 
     predicate, weight, and step must be pure functions.
     """
 
-    name: str
-    predicate: Predicate
-    weight: Weight
-    step: Step
-    describe: Callable[[int], str] = str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReductionDescentInstance:
+class ReductionDescentInstance(
+    namedtuple(
+        "ReductionDescentInstance", "name base predicate weight step describe", defaults=(str,)
+    )
+):
     """Reduction-descent: a base class satisfies the predicate directly;
     everything else must step down to a smaller counterexample."""
 
-    name: str
-    base: Predicate
-    predicate: Predicate
-    weight: Weight
-    step: Step
-    describe: Callable[[int], str] = str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IndexedDescentFamily:
+class IndexedDescentFamily(
+    namedtuple("IndexedDescentFamily", "name predicates weight steps describe")
+):
     """Varying-predicate descent: a counterexample of P_i steps to a smaller
     counterexample of P_{i+1}.
 
     Indexing beyond the list saturates at the final predicate.
     """
 
-    name: str
-    predicates: tuple[Predicate, ...]
-    weight: Weight
-    steps: tuple[Step, ...]
-    describe: Callable[[int], str] = str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.predicates:
+    def __new__(
+        cls,
+        name: str,
+        predicates: tuple[Predicate, ...],
+        weight: Weight,
+        steps: tuple[Step, ...],
+        describe: Callable[[int], str] = str,
+    ):
+        if not predicates:
             raise DomainError("predicate family must be nonempty")
-        if len(self.steps) != len(self.predicates):
+        if len(steps) != len(predicates):
             raise DomainError("one step per predicate required")
+        return tuple.__new__(cls, (name, predicates, weight, steps, describe))
 
 
 # ---------------------------------------------------------------------------
 # reports and traces
 
 
-@dataclass(frozen=True)
-class Failure:
-    value: int
-    kind: str
-    detail: str
-    index: Optional[int] = None
+Failure = namedtuple("Failure", "value kind detail index", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class Report:
-    schema: str
-    instance: str
-    bound: int
-    failures: tuple[Failure, ...]
+class Report(namedtuple("Report", "schema instance bound failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -194,25 +184,38 @@ class Report:
         return lines
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    value: int
-    weight: int
-    label: str
+TraceEntry = namedtuple("TraceEntry", "value weight label")
+
+OUTCOMES = (
+    "predicate-holds",
+    "step-undefined",
+    "bound-exceeded",
+    "weight-not-decreased",
+    "step-error",
+)
 
 
-@dataclass(frozen=True)
-class DescentTrace:
-    instance: str
-    entries: tuple[TraceEntry, ...]
-    outcome: str  # predicate-holds | step-undefined | bound-exceeded
+class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
+    """The values a descent visited, with their weights, and why it ended.
 
-    def __post_init__(self):
-        if self.outcome not in ("predicate-holds", "step-undefined", "bound-exceeded"):
-            raise DomainError(f"unknown outcome {self.outcome!r}")
-        weights = [e.weight for e in self.entries]
-        if any(b >= a for a, b in zip(weights, weights[1:])):
+    The weights strictly decrease, except that a weight-not-decreased trace
+    ends on the entry whose weight is not below the one before it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, instance: str, entries: tuple[TraceEntry, ...], outcome: str):
+        if outcome not in OUTCOMES:
+            raise DomainError(f"unknown outcome {outcome!r}")
+        weights = [e.weight for e in entries]
+        steps = list(zip(weights, weights[1:]))
+        if outcome == "weight-not-decreased":
+            if not steps or steps[-1][1] < steps[-1][0]:
+                raise DomainError("weight-not-decreased, but the last step lowers the weight")
+            steps.pop()
+        if any(b >= a for a, b in steps):
             raise DomainError("trace weights must strictly decrease")
+        return tuple.__new__(cls, (instance, entries, outcome))
 
     def to_jsonl(self) -> list[str]:
         lines = [
@@ -277,7 +280,7 @@ def _step_obligations(
     target_pred: Predicate,
     v: int,
     failures: list[Failure],
-    index: Optional[int] = None,
+    index: int | None = None,
 ) -> None:
     try:
         u = step(v)
@@ -346,7 +349,7 @@ def rd_to_id(inst: ReductionDescentInstance) -> DescentInstance:
     def predicate(z: int) -> bool:
         return inst.base(z) or inst.predicate(z)
 
-    def step(z: int) -> Optional[int]:
+    def step(z: int) -> int | None:
         if inst.base(z) or inst.predicate(z):
             return None
         return inst.step(z)
@@ -361,7 +364,14 @@ def rd_to_id(inst: ReductionDescentInstance) -> DescentInstance:
 
 
 def run_descent(inst: DescentInstance, start: int, max_steps: int) -> DescentTrace:
-    """Iterate the step from start while the predicate fails, recording weights."""
+    """Iterate the step from start while the predicate fails, recording weights.
+
+    A step that does not lower the weight ends the trace weight-not-decreased,
+    with its output as the last entry.  A step that raises ends it step-error,
+    unless it raises DomainError: that is a precondition the arithmetic cannot
+    meet (a factor beyond the proven prime range, say), and it reaches the
+    caller.
+    """
     entries = [TraceEntry(start, inst.weight(start), inst.describe(start))]
     v = start
     outcome = "predicate-holds" if inst.predicate(v) else None
@@ -370,11 +380,20 @@ def run_descent(inst: DescentInstance, start: int, max_steps: int) -> DescentTra
         if steps >= max_steps:
             outcome = "bound-exceeded"
             break
-        u = inst.step(v)
+        try:
+            u = inst.step(v)
+        except DomainError:
+            raise
+        except Exception:  # a malformed step ends the trace as data
+            outcome = "step-error"
+            break
         if u is None:
             outcome = "step-undefined"
             break
         entries.append(TraceEntry(u, inst.weight(u), inst.describe(u)))
+        if entries[-1].weight >= entries[-2].weight:
+            outcome = "weight-not-decreased"
+            break
         v = u
         steps += 1
         if inst.predicate(v):
@@ -411,7 +430,7 @@ def pentagon_instance() -> DescentInstance:
         m, n = pair_decode(v)
         return not 1 <= n <= m
 
-    def step(v: int) -> Optional[int]:
+    def step(v: int) -> int | None:
         m, n = pair_decode(v)
         if not n < m < 2 * n:
             return None
@@ -433,6 +452,9 @@ def vii31_instance() -> DescentInstance:
     The predicate holds everywhere, so the obligations are vacuous below any
     bound; the divisor-walk step is still wired in for completeness.
     """
+
+    # Imported here, so that the gcd and pentagon descents do not load it.
+    from .core_arith import is_prime, proper_divisor_step
 
     def predicate(x: int) -> bool:
         """Constant true: 0 and 1 are outside the claim, and the least
@@ -456,6 +478,8 @@ def vii31_trace_instance() -> DescentInstance:
 
 def vii31_rd_instance() -> ReductionDescentInstance:
     """VII.31 in reduction-descent form: primes (and 0, 1) are the base class."""
+
+    from .core_arith import is_prime
 
     inst = vii31_instance()
     return ReductionDescentInstance(
@@ -482,7 +506,7 @@ def gcd_instance() -> ReductionDescentInstance:
     decreases.
     """
 
-    def step(v: int) -> Optional[int]:
+    def step(v: int) -> int | None:
         a, b = pair_decode(v)
         if b == 0:
             return None

@@ -8,25 +8,21 @@ independent oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core_arith import check_natural, common_prime_witness, coprime
 from .errors import DomainError, NonPrimitiveError
 from .proportions import exact_sqrt, split_coprime_double_square
 
 
-@dataclass(frozen=True)
-class PythTriple:
-    x0: int
-    x1: int
-    x2: int
+class PythTriple(namedtuple("PythTriple", "x0 x1 x2")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_natural(self.x0, self.x1, self.x2)
-        if self.x0**2 + self.x1**2 != self.x2**2:
-            raise DomainError(
-                f"({self.x0}, {self.x1}, {self.x2}) is not a Pythagorean triple"
-            )
+    def __new__(cls, x0: int, x1: int, x2: int):
+        check_natural(x0, x1, x2)
+        if x0**2 + x1**2 != x2**2:
+            raise DomainError(f"({x0}, {x1}, {x2}) is not a Pythagorean triple")
+        return tuple.__new__(cls, (x0, x1, x2))
 
     def legs(self) -> tuple[int, int]:
         return self.x0, self.x1
@@ -35,24 +31,22 @@ class PythTriple:
         return coprime([self.x0, self.x1, self.x2])
 
 
-@dataclass(frozen=True)
-class Generators:
+class Generators(namedtuple("Generators", "i p q")):
     """Coprime opposite-parity pair (p, q) with p > q; i marks the even leg."""
 
-    i: int
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_natural(self.p, self.q)
-        if self.i not in (0, 1):
+    def __new__(cls, i: int, p: int, q: int):
+        check_natural(p, q)
+        if i not in (0, 1):
             raise DomainError("leg index must be 0 or 1")
-        if not coprime([self.p, self.q]):
-            raise DomainError(f"{self.p} and {self.q} are not coprime")
-        if (self.p + self.q) % 2 == 0:
+        if not coprime([p, q]):
+            raise DomainError(f"{p} and {q} are not coprime")
+        if (p + q) % 2 == 0:
             raise DomainError("exactly one of p, q must be odd")
-        if not self.p > self.q:
-            raise DomainError(f"need p > q, got p={self.p}, q={self.q}")
+        if not p > q:
+            raise DomainError(f"need p > q, got p={p}, q={q}")
+        return tuple.__new__(cls, (i, p, q))
 
 
 def decompose_sum_of_squares(t: PythTriple) -> tuple[int, int, int]:

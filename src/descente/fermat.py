@@ -12,10 +12,8 @@ through the proportions and diophantine modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
-from .certificate import search
 from .core_arith import common_prime_witness, coprime, is_prime
 from .descent_engine import (
     DescentInstance,
@@ -34,63 +32,52 @@ from .errors import DomainError
 from .proportions import split_coprime_square, split_sum_diff_square
 
 
-@dataclass(frozen=True)
-class CandidateSolution:
+class CandidateSolution(namedtuple("CandidateSolution", "x0 x1 x2 x3")):
     """A quadruple to classify; deliberately admits non-solutions."""
 
-    x0: int
-    x1: int
-    x2: int
-    x3: int
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return self.x0, self.x1, self.x2, self.x3
 
 
-@dataclass(frozen=True)
-class ClaimIData:
+class ClaimIData(namedtuple("ClaimIData", "p q c e f")):
     """First waypoint of the descent: the generators are squares and their
     squares differ by a square."""
 
-    p: int
-    q: int
-    c: int
-    e: int
-    f: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not coprime([self.p, self.q]):
+    def __new__(cls, p: int, q: int, c: int, e: int, f: int):
+        if not coprime([p, q]):
             raise DomainError("p and q must be coprime")
-        if (self.p + self.q) % 2 == 0:
+        if (p + q) % 2 == 0:
             raise DomainError("exactly one of p, q must be odd")
-        if not self.p > self.q:
+        if not p > q:
             raise DomainError("need p > q")
-        if self.p != self.e**2 or self.q != self.f**2:
+        if p != e**2 or q != f**2:
             raise DomainError("p and q must be the squares of e and f")
-        if self.p**2 - self.q**2 != self.c**2:
+        if p**2 - q**2 != c**2:
             raise DomainError("p^2 - q^2 must equal c^2")
-        if not self.e > self.f > 0:
+        if not e > f > 0:
             raise DomainError("need e > f > 0")
+        return tuple.__new__(cls, (p, q, c, e, f))
 
 
-@dataclass(frozen=True)
-class ClaimIIData:
+class ClaimIIData(namedtuple("ClaimIIData", "e f g h")):
     """Two squares whose sum and difference are both squares."""
 
-    e: int
-    f: int
-    g: int
-    h: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 1 or self.h < 1 or not coprime([self.g, self.h]):
+    def __new__(cls, e: int, f: int, g: int, h: int):
+        if g < 1 or h < 1 or not coprime([g, h]):
             raise DomainError("g and h must be positive and coprime")
-        if not self.e > self.f > 0:
+        if not e > f > 0:
             raise DomainError("need e > f > 0")
-        if self.e**2 + self.f**2 != self.g**2:
+        if e**2 + f**2 != g**2:
             raise DomainError("e^2 + f^2 must equal g^2")
-        if self.e**2 - self.f**2 != self.h**2:
+        if e**2 - f**2 != h**2:
             raise DomainError("e^2 - f^2 must equal h^2")
+        return tuple.__new__(cls, (e, f, g, h))
 
 
 def is_counterexample(c: CandidateSolution) -> bool:
@@ -268,7 +255,7 @@ def fermat_instance() -> DescentInstance:
     def weight(v: int) -> int:
         return decode_candidate(v).x2
 
-    def step(v: int) -> Optional[int]:
+    def step(v: int) -> int | None:
         c = decode_candidate(v)
         if not is_counterexample(c):
             return None
@@ -311,7 +298,7 @@ def walsh_family() -> IndexedDescentFamily:
         e, f, _, _ = quad_decode(payload)
         return walsh_state_weight(e, f)
 
-    def step0(v: int) -> Optional[int]:
+    def step0(v: int) -> int | None:
         tag, payload = pair_decode(v)
         if tag != 0:
             return None
@@ -321,7 +308,7 @@ def walsh_family() -> IndexedDescentFamily:
         d = walsh_claim_iii(_reduce_to_coprime(c))
         return encode_walsh_state(d)
 
-    def step1(v: int) -> Optional[int]:
+    def step1(v: int) -> int | None:
         tag, payload = pair_decode(v)
         if tag != 1:
             return None
@@ -339,6 +326,24 @@ def walsh_family() -> IndexedDescentFamily:
 
     return IndexedDescentFamily(
         "walsh", (p0, p1), weight, (step0, step1), describe
+    )
+
+
+def walsh_trace_instance() -> DescentInstance:
+    """walsh_family as one walk, for traces: a value tagged 0 (a candidate)
+    takes P_0 and step0, any other value P_1 and step1.  Start it at
+    encode_walsh_candidate."""
+    fam = walsh_family()
+
+    def index(v: int) -> int:
+        return min(pair_decode(v)[0], 1)
+
+    return DescentInstance(
+        fam.name,
+        lambda v: fam.predicates[index(v)](v),
+        fam.weight,
+        lambda v: fam.steps[index(v)](v),
+        fam.describe,
     )
 
 
@@ -360,6 +365,8 @@ def exhaustive_search(
     quadruple), which is where the descent's primitivity reduction bottoms
     out.  Expected result either way: nothing beyond the degenerate set.
     """
+    from .certificate import search
+
     results = {CandidateSolution(*sol) for sol in search(bound_x2, cache_path)}
     if allow_zero:
         results |= degenerate_solutions()

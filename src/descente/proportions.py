@@ -8,7 +8,7 @@ facts into explicit square roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core_arith import check_natural, coprime, is_prime
 from .errors import DomainError
@@ -20,51 +20,50 @@ def exact_sqrt(n: int) -> int | None:
     return r if r * r == n else None
 
 
-@dataclass(frozen=True)
-class ContinuedProportion:
+class ContinuedProportion(tuple):
     """Positive terms with each interior term the geometric mean of its neighbors.
 
     Length 2 is allowed (no interior constraint), so the degenerate n = 0
-    case of the generalized VIII.2 is representable.
+    case of the generalized VIII.2 is representable.  The record is the
+    tuple of its terms.
     """
 
-    terms: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.terms) < 2:
+    def __new__(cls, terms: tuple[int, ...]):
+        if len(terms) < 2:
             raise DomainError("a continued proportion needs at least 2 terms")
-        check_natural(*self.terms)
-        if any(t < 1 for t in self.terms):
+        check_natural(*terms)
+        if any(t < 1 for t in terms):
             raise DomainError("continued proportion terms must be positive")
-        for i in range(1, len(self.terms) - 1):
-            if self.terms[i - 1] * self.terms[i + 1] != self.terms[i] ** 2:
+        for i in range(1, len(terms) - 1):
+            if terms[i - 1] * terms[i + 1] != terms[i] ** 2:
                 raise DomainError(
-                    f"terms {self.terms[i - 1]}:{self.terms[i]}:{self.terms[i + 1]} "
+                    f"terms {terms[i - 1]}:{terms[i]}:{terms[i + 1]} "
                     "are not in continued proportion"
                 )
+        return tuple.__new__(cls, terms)
 
-    def __len__(self):
-        return len(self.terms)
+    @property
+    def terms(self) -> tuple[int, ...]:
+        return tuple(self)
 
-    def __getitem__(self, i):
-        return self.terms[i]
+    def __repr__(self) -> str:
+        return f"ContinuedProportion(terms={tuple(self)!r})"
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(namedtuple("NormalForm", "k y z n")):
     """Geometric normal form: terms[i] == k * y**(n+1-i) * z**i with y, z coprime."""
 
-    k: int
-    y: int
-    z: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_natural(self.k, self.y, self.z, self.n)
-        if self.k < 1 or self.y < 1 or self.z < 1:
+    def __new__(cls, k: int, y: int, z: int, n: int):
+        check_natural(k, y, z, n)
+        if k < 1 or y < 1 or z < 1:
             raise DomainError("k, y, z must be positive")
-        if not coprime([self.y, self.z]):
+        if not coprime([y, z]):
             raise DomainError("y and z must be coprime")
+        return tuple.__new__(cls, (k, y, z, n))
 
     def reconstruct(self) -> ContinuedProportion:
         top = self.n + 1

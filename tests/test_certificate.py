@@ -55,6 +55,11 @@ def test_residue_mask_keeps_exactly_the_square_products(m):
         assert masks[a] >> m == 0
 
 
+@pytest.mark.parametrize("m", sorted(certificate.CRT_SPLITS))
+def test_crt_masks_equal_the_direct_masks(m):
+    assert certificate._masks(m) == certificate._residue_masks(m)
+
+
 def test_survivors_equal_a_per_pair_residue_filter_at_1e5():
     bound = 10**5
     squares = {m: _squares(m) for m in certificate.MODULI}
@@ -112,11 +117,11 @@ def test_rows_split_into_blocks_give_the_same_sieve(monkeypatch):
     assert sorted(survivors) == sorted(whole_survivors)
 
 
-def _python(code):
+def _python(code, *flags):
     env = {k: v for k, v in os.environ.items() if k != "DESCENTE_CACHE"}
     env["PYTHONPATH"] = SRC
     return subprocess.Popen(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -138,6 +143,43 @@ def test_search_loads_only_the_certificate():
         "['descente', 'descente.certificate', 'descente.cli', 'descente.errors']",
         "False",
     ]
+
+
+# No command below may load these: the record classes are tuples, and only
+# the fermat and walsh instances import descente.fermat.
+HEAVY = ("dataclasses", "inspect", "descente.fermat", "descente.certificate")
+# descent and check run descent_engine, and only the vii31 walk core_arith.
+ENGINE = HEAVY + ("descente.diophantine", "descente.proportions")
+NO_ARITH = ENGINE + ("descente.core_arith",)
+
+
+@pytest.mark.parametrize(
+    "argv, banned",
+    [
+        pytest.param(argv, banned, id=argv)
+        for argv, banned in (
+            ("descent gcd 89 55", NO_ARITH),
+            ("descent pentagon 8 5", NO_ARITH),
+            ("descent vii31 360", ENGINE),
+            ("decompose triple 3 4 5", HEAVY),
+            ("decompose two-square 1 2 3", HEAVY),
+            ("decompose frenicle 4 3 5 2", HEAVY),
+            ("check rd gcd 50", NO_ARITH),
+            ("check id vii31 50", ENGINE),
+        )
+    ],
+)
+def test_command_loads_no_dataclasses_and_no_fermat(argv, banned):
+    proc = _python(
+        "import io, sys\n"
+        "from descente.cli import main\n"
+        f"print(main({argv.split()!r}, out=io.StringIO()))\n"
+        f"print([m for m in {banned!r} if m in sys.modules])\n",
+        "-S",
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.splitlines() == ["0", "[]"]
 
 
 def test_huge_bound_search_runs_in_bounded_memory():

@@ -246,6 +246,21 @@ def test_descent_guard_rejection_jsonl(instance):
     assert list(json.loads(lines[0])) == ["record", "instance", "x0", "x1", "x2", "x3"]
 
 
+def test_descent_walsh_runs_the_walsh_family():
+    from descente.cli import instances
+    from descente.descent_engine import run_descent
+    from descente.fermat import CandidateSolution, encode_walsh_candidate, walsh_start_weight
+
+    inst, start = instances()["walsh"].trace([3, 4, 5, 1])
+    assert inst.name == "walsh"
+    assert start == encode_walsh_candidate(CandidateSolution(3, 4, 5, 1))
+    trace = run_descent(inst, start, 10)
+    assert trace.outcome == "predicate-holds"
+    assert [(e.weight, e.label) for e in trace.entries] == [
+        (walsh_start_weight(5, 1), "candidate (3, 4, 5, 1)")
+    ]
+
+
 def test_descent_vii31_beyond_prime_limit_exits_65(capsys):
     code, lines = run_cli("descent", "vii31", "10000000000000000000000000000000000057")
     assert (code, lines) == (EXIT_PRECONDITION, [])

@@ -255,6 +255,25 @@ def test_factorize_beyond_prime_limit():
             proper_divisor_step(x)
 
 
+def test_factorize_does_not_prove_its_primes_again(monkeypatch):
+    import descente.core_arith as core_arith
+
+    calls = []
+    real = core_arith.is_prime
+    monkeypatch.setattr(core_arith, "is_prime", lambda p: calls.append(p) or real(p))
+    for n in range(2, 501):
+        f = factorize(n)
+        assert f.value == n and f == core_arith.Factorization(f.factors)
+    calls.clear()
+    # Trial division proves the factors below 1024**2 without is_prime;
+    # rho certifies each large factor once.
+    assert factorize(2 * 3 * 1009).factors == ((2, 1), (3, 1), (1009, 1))
+    assert calls == []
+    big = 1_000_003 * 1_000_033
+    assert factorize(big).factors == ((1_000_003, 1), (1_000_033, 1))
+    assert sorted(calls) == [1_000_003, 1_000_033, big]
+
+
 def test_factorization_validation():
     with pytest.raises(DomainError):
         Factorization(((3, 1), (2, 1)))  # out of order

@@ -296,6 +296,33 @@ def test_run_descent_gcd():
     assert trace.outcome == "predicate-holds"
 
 
+def test_run_descent_ends_weight_not_decreased_as_data():
+    # Steps from 5 to 3, then to 4: the second step raises the weight.
+    inst = DescentInstance("up", lambda v: v == 0, lambda v: v, lambda v: {5: 3, 3: 4}[v])
+    trace = run_descent(inst, 5, 10)
+    assert trace.outcome == "weight-not-decreased"
+    assert [e.weight for e in trace.entries] == [5, 3, 4]
+    assert DescentTrace.from_jsonl(trace.to_jsonl()) == trace
+    assert trace.to_text()[-1] == "outcome: weight-not-decreased"
+    flat = DescentInstance("flat", lambda v: False, lambda v: 7, lambda v: v + 1)
+    assert [e.value for e in run_descent(flat, 1, 10).entries] == [1, 2]
+
+
+def test_run_descent_ends_step_error_as_data():
+    inst = DescentInstance("div", lambda v: v == 1, lambda v: v, lambda v: 12 // (v - 4))
+    trace = run_descent(inst, 4, 10)
+    assert (trace.outcome, len(trace.entries)) == ("step-error", 1)
+    assert DescentTrace.from_jsonl(trace.to_jsonl()) == trace
+
+
+def test_run_descent_passes_domain_errors_through():
+    def step(v):
+        raise DomainError("beyond the proven range")
+
+    with pytest.raises(DomainError, match="proven range"):
+        run_descent(DescentInstance("x", lambda v: False, lambda v: v, step), 9, 10)
+
+
 def test_trace_weights_must_strictly_decrease():
     with pytest.raises(DomainError):
         DescentTrace(
@@ -305,6 +332,16 @@ def test_trace_weights_must_strictly_decrease():
         )
     with pytest.raises(DomainError):
         DescentTrace("x", (), "no-such-outcome")
+    # Only the last step of a weight-not-decreased trace may keep the weight,
+    # and it must.
+    entries = (TraceEntry(1, 5, "a"), TraceEntry(2, 5, "b"), TraceEntry(3, 6, "c"))
+    with pytest.raises(DomainError):
+        DescentTrace("x", entries, "weight-not-decreased")
+    with pytest.raises(DomainError):
+        DescentTrace("x", entries[2:] + entries[:1], "weight-not-decreased")
+    with pytest.raises(DomainError):
+        DescentTrace("x", entries[:1], "weight-not-decreased")
+    assert DescentTrace("x", entries[1:], "weight-not-decreased").entries == entries[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -196,9 +196,7 @@ def test_frenicle_descend_fragment_and_guard():
     assert frenicle_xxxviii(PythTriple(4, 3, 5), 2) == (1, 1)
     # c even is rejected before anything else; bypass the ClaimIData
     # validator to exercise the guard (no valid instance exists to reach it)
-    d = object.__new__(ClaimIData)
-    for name, val in (("p", 9), ("q", 4), ("c", 2), ("e", 3), ("f", 2)):
-        object.__setattr__(d, name, val)
+    d = tuple.__new__(ClaimIData, (9, 4, 2, 3, 2))  # p, q, c, e, f
     with pytest.raises(DomainError, match="odd"):
         frenicle_descend(d)
 
@@ -239,6 +237,22 @@ def test_walsh_family_weights_on_tagged_encodings():
     v = pair_encode(1, pair_encode(pair_encode(5, 2), pair_encode(7, 1)))
     assert fam.weight(v) == 5 * 5 + 2 * 2  # (e, f) state weight
     assert fam.weight(encode_walsh_candidate(c)) == walsh_start_weight(5, 1)
+
+
+def test_walsh_trace_takes_each_tag_to_its_own_step(monkeypatch):
+    from descente import fermat
+    from descente.descent_engine import IndexedDescentFamily
+
+    # No claim-II state exists, so the real family's steps cannot tell
+    # which one ran; a stand-in family names its predicate and step.
+    fake = IndexedDescentFamily(
+        "walsh", (lambda v: "P0", lambda v: "P1"), lambda v: v, (lambda v: 0, lambda v: 1)
+    )
+    monkeypatch.setattr(fermat, "walsh_family", lambda: fake)
+    inst = fermat.walsh_trace_instance()
+    for tag, index in ((0, 0), (1, 1), (2, 1)):
+        v = pair_encode(tag, 7)
+        assert (inst.predicate(v), inst.step(v)) == (f"P{index}", index)
 
 
 def test_run_descent_fermat_trivially_holds():
