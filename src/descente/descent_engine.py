@@ -50,6 +50,22 @@ def quad_decode(v: int) -> tuple[int, int, int, int]:
     return x0, x1, x2, x3
 
 
+def tagged(tag: int, pred: Predicate) -> Predicate:
+    """The predicate over pair codes that holds where the first component is
+    not tag, and is pred of the second component where it is.
+
+    It reads the tag from one isqrt and builds no tuple: with
+    s = floor((sqrt(8v + 1) - 1) / 2), the first component of v is
+    s(s + 3)/2 - v and the second is s minus the first.
+    """
+
+    def holds(v: int) -> bool:
+        s = (math.isqrt(8 * v + 1) - 1) // 2
+        return s * (s + 3) // 2 - v != tag or pred(s - tag)
+
+    return holds
+
+
 # ---------------------------------------------------------------------------
 # instance types
 
@@ -305,25 +321,31 @@ def check_id(inst: DescentInstance, bound: int) -> Report:
     if bound < 1:
         raise DomainError("bound must be >= 1")
     failures: list[Failure] = []
+    predicate = inst.predicate
     for v in range(bound + 1):
-        if not inst.predicate(v):
-            _step_obligations(inst.step, inst.weight, inst.predicate, v, failures)
+        if not predicate(v):
+            _step_obligations(inst.step, inst.weight, predicate, v, failures)
     return Report("id", inst.name, bound, tuple(failures))
 
 
 def check_rd(inst: ReductionDescentInstance, bound: int) -> Report:
-    """Certify both reduction-descent obligations for all values <= bound."""
+    """Certify both reduction-descent obligations for all values <= bound.
+
+    Where the predicate holds, neither obligation can fire, so base is read
+    only where it fails; the instance is pure, so this is the report of
+    reading base first.
+    """
     if bound < 1:
         raise DomainError("bound must be >= 1")
     failures: list[Failure] = []
+    predicate = inst.predicate
     for v in range(bound + 1):
+        if predicate(v):
+            continue
         if inst.base(v):
-            if not inst.predicate(v):
-                failures.append(
-                    Failure(v, "base-without-predicate", "base holds but predicate fails")
-                )
-        elif not inst.predicate(v):
-            _step_obligations(inst.step, inst.weight, inst.predicate, v, failures)
+            failures.append(Failure(v, "base-without-predicate", "base holds but predicate fails"))
+        else:
+            _step_obligations(inst.step, inst.weight, predicate, v, failures)
     return Report("rd", inst.name, bound, tuple(failures))
 
 
@@ -347,10 +369,10 @@ def rd_to_id(inst: ReductionDescentInstance) -> DescentInstance:
     as a single indefinite descent, with the step restricted accordingly."""
 
     def predicate(z: int) -> bool:
-        return inst.base(z) or inst.predicate(z)
+        return inst.predicate(z) or inst.base(z)
 
     def step(z: int) -> int | None:
-        if inst.base(z) or inst.predicate(z):
+        if inst.predicate(z) or inst.base(z):
             return None
         return inst.step(z)
 

@@ -12,7 +12,9 @@ from collections import namedtuple
 
 from .core_arith import check_natural, common_prime_witness, coprime
 from .errors import DomainError, NonPrimitiveError
-from .proportions import exact_sqrt, split_coprime_double_square
+
+# proportions is imported inside the three functions that split squares, so
+# that `decompose triple` and `triples` do not load it.
 
 
 class PythTriple(namedtuple("PythTriple", "x0 x1 x2")):
@@ -66,6 +68,8 @@ def decompose_sum_of_squares(t: PythTriple) -> tuple[int, int, int]:
 
 def decompose_primitive_triple(t: PythTriple) -> Generators:
     """Recover the generators of a primitive triple: x_i = 2pq, x_{1-i} = p^2-q^2."""
+    from .proportions import exact_sqrt
+
     if (t.x0, t.x1, t.x2) == (0, 0, 0):
         raise DomainError("the zero triple has no generators")
     if not t.is_primitive():
@@ -91,6 +95,8 @@ def generate_triple(g: Generators) -> PythTriple:
 def frenicle_xxxviii(t: PythTriple, v: int) -> tuple[int, int]:
     """Frenicle's Proposition XXXVIII: if a primitive triple's even leg is v^2,
     then x2 == (2*m^2)^2 + (k^2)^2 for coprime 2m, k.  Returns (m, k)."""
+    from .proportions import split_coprime_double_square
+
     check_natural(v)
     g = decompose_primitive_triple(t)
     even_leg = t.x0 if g.i == 0 else t.x1
@@ -120,6 +126,8 @@ def decompose_primitive_two_square(x0: int, x1: int, x2: int) -> tuple[int, int]
     Returns (m, k) with 2m, k coprime, 2m^2 != k^2, x0 == |2m^2 - k^2|,
     x1 == 2mk, and x2 == 2m^2 + k^2.
     """
+    from .proportions import split_coprime_double_square
+
     a, b = decompose_two_square(x0, x1, x2)
     if not coprime([x0, x1, x2]):
         z = common_prime_witness([x0, x1, x2])

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core_arith import common_prime_witness, coprime, is_prime
 from .descent_engine import (
     DescentInstance,
     IndexedDescentFamily,
@@ -22,14 +21,13 @@ from .descent_engine import (
     pair_encode,
     quad_decode,
     quad_encode,
-)
-from .diophantine import (
-    PythTriple,
-    decompose_primitive_triple,
-    decompose_primitive_two_square,
+    tagged,
 )
 from .errors import DomainError
-from .proportions import split_coprime_square, split_sum_diff_square
+
+# core_arith, diophantine and proportions are imported inside the functions
+# that use them: the predicates that the checks evaluate need none of them,
+# and the step path that does runs only from a counterexample.
 
 
 class CandidateSolution(namedtuple("CandidateSolution", "x0 x1 x2 x3")):
@@ -48,6 +46,8 @@ class ClaimIData(namedtuple("ClaimIData", "p q c e f")):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int, c: int, e: int, f: int):
+        from .core_arith import coprime
+
         if not coprime([p, q]):
             raise DomainError("p and q must be coprime")
         if (p + q) % 2 == 0:
@@ -69,6 +69,8 @@ class ClaimIIData(namedtuple("ClaimIIData", "e f g h")):
     __slots__ = ()
 
     def __new__(cls, e: int, f: int, g: int, h: int):
+        from .core_arith import coprime
+
         if g < 1 or h < 1 or not coprime([g, h]):
             raise DomainError("g and h must be positive and coprime")
         if not e > f > 0:
@@ -80,15 +82,16 @@ class ClaimIIData(namedtuple("ClaimIIData", "e f g h")):
         return tuple.__new__(cls, (e, f, g, h))
 
 
+def _solves(x0: int, x1: int, x2: int, x3: int) -> bool:
+    """The counterexample condition: positive legs, a Pythagorean triple, and
+    a leg product twice a square."""
+    return x0 >= 1 and x1 >= 1 and x0 * x0 + x1 * x1 == x2 * x2 and x0 * x1 == 2 * x3 * x3
+
+
 def is_counterexample(c: CandidateSolution) -> bool:
     """True iff c has positive legs, is a Pythagorean triple, and its leg
     product is twice a square."""
-    return (
-        c.x0 >= 1
-        and c.x1 >= 1
-        and c.x0**2 + c.x1**2 == c.x2**2
-        and c.x0 * c.x1 == 2 * c.x3**2
-    )
+    return _solves(*c)
 
 
 def degenerate_solutions() -> frozenset[CandidateSolution]:
@@ -107,6 +110,9 @@ def degenerate_solutions() -> frozenset[CandidateSolution]:
 def reduce_triple_by_prime(t: PythTriple, z: int) -> PythTriple:
     """Divide a triple through by a prime dividing both legs (it then divides
     the hypotenuse as well, since z^2 | x2^2 forces z | x2)."""
+    from .core_arith import is_prime
+    from .diophantine import PythTriple
+
     if not is_prime(z):
         raise DomainError(f"{z} is not prime")
     if t.x0 % z or t.x1 % z:
@@ -117,6 +123,8 @@ def reduce_triple_by_prime(t: PythTriple, z: int) -> PythTriple:
 
 def reduce_area_witness(x3: int, z: int) -> int:
     """The matching reduction of the area witness in the first descent case."""
+    from .core_arith import is_prime
+
     if not is_prime(z):
         raise DomainError(f"{z} is not prime")
     if x3 % z:
@@ -125,6 +133,8 @@ def reduce_area_witness(x3: int, z: int) -> int:
 
 
 def _counterexample_guard(c: CandidateSolution) -> None:
+    from .core_arith import common_prime_witness, coprime
+
     if not is_counterexample(c):
         raise DomainError(
             f"({c.x0}, {c.x1}, {c.x2}, {c.x3}) is not a counterexample: "
@@ -141,6 +151,9 @@ def claim_i(c: CandidateSolution) -> ClaimIData:
     """From a coprime counterexample, extract generators p = e^2, q = f^2
     with p^2 - q^2 = c^2.  The precondition is unsatisfiable; the pieces are
     individually satisfiable and tested."""
+    from .diophantine import PythTriple, decompose_primitive_triple
+    from .proportions import split_coprime_square
+
     _counterexample_guard(c)
     gens = decompose_primitive_triple(PythTriple(c.x0, c.x1, c.x2))
     p, q = gens.p, gens.q
@@ -155,6 +168,8 @@ def claim_i(c: CandidateSolution) -> ClaimIData:
 def claim_ii(d: ClaimIData) -> ClaimIIData:
     """Split p+q and p-q (coprime, both squares times each other = c^2) to
     obtain two squares whose sum and difference are squares."""
+    from .proportions import split_sum_diff_square
+
     g, h = split_sum_diff_square(d.p, d.q, d.c)
     return ClaimIIData(e=d.e, f=d.f, g=g, h=h)
 
@@ -162,6 +177,8 @@ def claim_ii(d: ClaimIData) -> ClaimIIData:
 def descend_claim_ii(d: ClaimIIData) -> tuple[int, int, int, int]:
     """Build the strictly smaller counterexample (y0, y1, y2, y3) from a
     sum-and-difference-of-squares state."""
+    from .diophantine import decompose_primitive_two_square
+
     # Claim IIa / IIb are one-line consequences of the invariants:
     assert d.h**2 + d.f**2 == d.e**2
     assert d.h**2 + 2 * d.f**2 == d.g**2
@@ -184,7 +201,7 @@ def walsh_claim_iii(c: CandidateSolution) -> ClaimIIData:
 def frenicle_descend(d: ClaimIData) -> tuple[int, int]:
     """Frenicle's shortcut: apply Proposition XXXVIII to the triple
     (q, c, p) with even-leg square witness f, giving (2m^2)^2 + (k^2)^2 = e^2."""
-    from .diophantine import frenicle_xxxviii
+    from .diophantine import PythTriple, frenicle_xxxviii
 
     if d.c % 2 == 0:
         raise DomainError("c must be odd")
@@ -224,17 +241,31 @@ def encode_walsh_state(d: ClaimIIData) -> int:
 
 
 def _is_claim_ii_tuple(e: int, f: int, g: int, h: int) -> bool:
-    return (
-        g >= 1
-        and h >= 1
-        and coprime([g, h])
-        and e > f > 0
-        and e**2 + f**2 == g**2
-        and e**2 - f**2 == h**2
-    )
+    if not (g >= 1 and h >= 1 and e > f > 0 and e**2 + f**2 == g**2 and e**2 - f**2 == h**2):
+        return False
+    # No state gets past the two equalities (that is the theorem), so the
+    # checks never load core_arith for this.
+    from .core_arith import coprime
+
+    return coprime([g, h])
+
+
+def _not_counterexample(v: int) -> bool:
+    """not is_counterexample(decode_candidate(v)), without building the
+    record: a zero leg decides it before the right half is decoded."""
+    left, right = pair_decode(v)
+    x0, x1 = pair_decode(left)
+    return not (x0 and x1) or not _solves(x0, x1, *pair_decode(right))
+
+
+def _not_claim_ii_code(v: int) -> bool:
+    return not _is_claim_ii_tuple(*quad_decode(v))
 
 
 def _reduce_to_coprime(c: CandidateSolution) -> CandidateSolution:
+    from .core_arith import common_prime_witness, coprime
+    from .diophantine import PythTriple
+
     while not coprime([c.x0, c.x1]):
         z = common_prime_witness([c.x0, c.x1])
         t = reduce_triple_by_prime(PythTriple(c.x0, c.x1, c.x2), z)
@@ -248,9 +279,6 @@ def fermat_instance() -> DescentInstance:
     It descends on x2 and steps through the primitivity reduction and
     Claims I, II.  Walsh's weights belong to walsh_family.
     """
-
-    def predicate(v: int) -> bool:
-        return not is_counterexample(decode_candidate(v))
 
     def weight(v: int) -> int:
         return decode_candidate(v).x2
@@ -266,7 +294,7 @@ def fermat_instance() -> DescentInstance:
     def describe(v: int) -> str:
         return "candidate ({}, {}, {}, {})".format(*quad_decode(v))
 
-    return DescentInstance("fermat", predicate, weight, step, describe)
+    return DescentInstance("fermat", _not_counterexample, weight, step, describe)
 
 
 def walsh_family() -> IndexedDescentFamily:
@@ -277,18 +305,6 @@ def walsh_family() -> IndexedDescentFamily:
     Values are tagged pairs: tag 0 encodes candidate quadruples, tag 1
     encodes (e, f, g, h) states.
     """
-
-    def p0(v: int) -> bool:
-        tag, payload = pair_decode(v)
-        if tag != 0:
-            return True
-        return not is_counterexample(CandidateSolution(*quad_decode(payload)))
-
-    def p1(v: int) -> bool:
-        tag, payload = pair_decode(v)
-        if tag != 1:
-            return True
-        return not _is_claim_ii_tuple(*quad_decode(payload))
 
     def weight(v: int) -> int:
         tag, payload = pair_decode(v)
@@ -325,7 +341,11 @@ def walsh_family() -> IndexedDescentFamily:
         return "{} ({}, {}, {}, {})".format(kind, *quad_decode(payload))
 
     return IndexedDescentFamily(
-        "walsh", (p0, p1), weight, (step0, step1), describe
+        "walsh",
+        (tagged(0, _not_counterexample), tagged(1, _not_claim_ii_code)),
+        weight,
+        (step0, step1),
+        describe,
     )
 
 

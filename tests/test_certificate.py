@@ -145,6 +145,19 @@ def test_search_loads_only_the_certificate():
     ]
 
 
+def _assert_loads_none_of(argv, banned):
+    proc = _python(
+        "import io, sys\n"
+        "from descente.cli import main\n"
+        f"print(main({argv.split()!r}, out=io.StringIO()))\n"
+        f"print([m for m in {banned!r} if m in sys.modules])\n",
+        "-S",
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.splitlines() == ["0", "[]"]
+
+
 # No command below may load these: the record classes are tuples, and only
 # the fermat and walsh instances import descente.fermat.
 HEAVY = ("dataclasses", "inspect", "descente.fermat", "descente.certificate")
@@ -170,16 +183,28 @@ NO_ARITH = ENGINE + ("descente.core_arith",)
     ],
 )
 def test_command_loads_no_dataclasses_and_no_fermat(argv, banned):
-    proc = _python(
-        "import io, sys\n"
-        "from descente.cli import main\n"
-        f"print(main({argv.split()!r}, out=io.StringIO()))\n"
-        f"print([m for m in {banned!r} if m in sys.modules])\n",
-        "-S",
-    )
-    out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0, err
-    assert out.splitlines() == ["0", "[]"]
+    _assert_loads_none_of(argv, banned)
+
+
+# The fermat and walsh checks evaluate only their predicates, which need no
+# arithmetic module; `decompose triple` and `triples` split no squares.
+CHECK_DEPS = ("descente.diophantine", "descente.proportions", "descente.core_arith")
+
+
+@pytest.mark.parametrize(
+    "argv, banned",
+    [
+        pytest.param(argv, banned, id=argv)
+        for argv, banned in (
+            ("check id fermat 100", CHECK_DEPS),
+            ("check idprime walsh 100", CHECK_DEPS),
+            ("decompose triple 3 4 5", ("descente.proportions",)),
+            ("triples 30", ("descente.proportions",)),
+        )
+    ],
+)
+def test_command_loads_only_what_it_evaluates(argv, banned):
+    _assert_loads_none_of(argv, banned)
 
 
 def test_huge_bound_search_runs_in_bounded_memory():

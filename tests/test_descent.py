@@ -32,6 +32,7 @@ from descente.descent_engine import (
     vii31_instance,
     vii31_rd_instance,
     vii31_trace_instance,
+    _step_obligations,
 )
 from descente.errors import DomainError
 
@@ -217,6 +218,101 @@ def test_rd_to_id_preserves_empty_reports_randomized():
         assert rd_report.ok, rd_report.failures[:3]
         id_report = check_id(rd_to_id(inst), bound)
         assert id_report.ok, id_report.failures[:3]
+
+
+def _base_first_check_rd(inst: ReductionDescentInstance, bound: int) -> Report:
+    """check_rd as it read base at every value, before the predicate."""
+    failures = []
+    for v in range(bound + 1):
+        if inst.base(v):
+            if not inst.predicate(v):
+                failures.append(
+                    Failure(v, "base-without-predicate", "base holds but predicate fails")
+                )
+        elif not inst.predicate(v):
+            _step_obligations(inst.step, inst.weight, inst.predicate, v, failures)
+    return Report("rd", inst.name, bound, tuple(failures))
+
+
+def _base_first_rd_to_id(inst: ReductionDescentInstance) -> DescentInstance:
+    def holds(z: int) -> bool:
+        return inst.base(z) or inst.predicate(z)
+
+    return DescentInstance(
+        f"{inst.name}-as-id", holds, inst.weight, lambda z: None if holds(z) else inst.step(z)
+    )
+
+
+def _step_outcome(step, v):
+    try:
+        return step(v)
+    except ValueError as exc:
+        return exc.args
+
+
+def _random_broken_rd_instance(rng: random.Random, bound: int) -> ReductionDescentInstance:
+    """An RD instance over tables, most of them broken: base values off the
+    predicate, steps that are undefined, raise, do not lower the weight, or
+    land where the predicate holds."""
+    fails = {v for v in range(bound + 1) if rng.random() < rng.choice((0.0, 0.2, 0.6))}
+    base = {v for v in range(bound + 1) if rng.random() < rng.choice((0.0, 0.3))}
+    weights = [rng.randrange(bound) for _ in range(bound + 3)]
+    steps = {v: rng.choice((None, "raise", rng.randrange(bound + 3))) for v in fails}
+
+    def step(v: int) -> int | None:
+        u = steps.get(v)
+        if u == "raise":
+            raise ValueError(v)
+        return u
+
+    return ReductionDescentInstance(
+        f"broken-{rng.randrange(10**6)}",
+        base=base.__contains__,
+        predicate=lambda v: v not in fails,
+        weight=weights.__getitem__,
+        step=step,
+    )
+
+
+def test_check_rd_and_rd_to_id_match_base_first_order_randomized():
+    """Reading base only where the predicate fails gives the report of
+    reading it first, on 200 pure instances with every kind of failure."""
+    rng = random.Random(20261018)
+    bound = 40
+    kinds = set()
+    for _ in range(200):
+        inst = _random_broken_rd_instance(rng, bound)
+        report = check_rd(inst, bound)
+        assert report == _base_first_check_rd(inst, bound)
+        as_id, base_first = rd_to_id(inst), _base_first_rd_to_id(inst)
+        assert check_id(as_id, bound) == check_id(base_first, bound)
+        for v in range(bound + 1):
+            assert as_id.predicate(v) == base_first.predicate(v)
+            assert _step_outcome(as_id.step, v) == _step_outcome(base_first.step, v)
+        kinds |= {f.kind for f in report.failures}
+    assert kinds == {
+        "base-without-predicate",
+        "step-error",
+        "step-undefined",
+        "weight-not-decreased",
+        "step-not-counterexample",
+    }
+
+
+def test_check_rd_vii31_makes_no_is_prime_call(monkeypatch):
+    """The vii31 predicate always holds, so `check rd vii31` never reads the
+    base, a primality test."""
+    import io
+
+    from descente import core_arith
+    from descente.cli import main
+
+    calls = []
+    is_prime = core_arith.is_prime
+    monkeypatch.setattr(core_arith, "is_prime", lambda x: calls.append(x) or is_prime(x))
+    assert main(["check", "rd", "vii31", "5000"], out=io.StringIO()) == 0
+    assert calls == []
+    assert vii31_rd_instance().base(97) and calls == [97]  # the spy does see the base
 
 
 def test_id_prime_single_family_agrees_with_id_randomized():

@@ -9,10 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from descente import certificate
+from descente import certificate, fermat
 from descente.certificate import _multiples, scan_generator_block
 from descente.core_arith import coprime
-from descente.descent_engine import check_id, check_id_prime, pair_encode, run_descent
+from descente.descent_engine import (
+    check_id,
+    check_id_prime,
+    pair_decode,
+    pair_encode,
+    quad_decode,
+    quad_encode,
+    run_descent,
+)
 from descente.diophantine import PythTriple, generator_pairs
 from descente.errors import DomainError
 from descente.fermat import (
@@ -253,6 +261,85 @@ def test_walsh_trace_takes_each_tag_to_its_own_step(monkeypatch):
     for tag, index in ((0, 0), (1, 1), (2, 1)):
         v = pair_encode(tag, 7)
         assert (inst.predicate(v), inst.step(v)) == (f"P{index}", index)
+
+
+# The forms the checked predicates must agree with: decode the whole code,
+# build the record, and test the condition.  Besides the real conditions,
+# relaxed ones (the area or the difference equation dropped) make some
+# values fail, so that the agreement is not only on True.
+def _by_full_decoding(v):
+    tag, payload = pair_decode(v)
+    quad = quad_decode(payload)
+    return (
+        not is_counterexample(decode_candidate(v)),
+        tag != 0 or not is_counterexample(CandidateSolution(*quad)),
+        tag != 1 or not fermat._is_claim_ii_tuple(*quad),
+    )
+
+
+def _by_checked_predicates(v):
+    p0, p1 = walsh_family().predicates
+    return fermat_instance().predicate(v), p0(v), p1(v)
+
+
+FORMS = {
+    "real": {},
+    "relaxed": {
+        "_solves": lambda x0, x1, x2, x3: x0 >= 1 and x1 >= 1 and x0 * x0 + x1 * x1 == x2 * x2,
+        "_is_claim_ii_tuple": lambda e, f, g, h: e > f > 0 and e * e + f * f == g * g,
+    },
+}
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_checked_predicates_agree_with_full_decoding_below_200000(form, monkeypatch):
+    for name, relaxed in FORMS[form].items():
+        monkeypatch.setattr(fermat, name, relaxed)
+    fermat_p = fermat_instance().predicate
+    p0, p1 = walsh_family().predicates
+    values = range(200_000)
+    got = [(fermat_p(v), p0(v), p1(v)) for v in values]
+    assert got == [_by_full_decoding(v) for v in values]
+    if form == "relaxed":
+        assert not all(p for p, _, _ in got)
+
+
+_big = st.integers(0, 10**40)
+
+
+@st.composite
+def _pythagorean(draw):
+    """A multiple of a primitive triple, legs in either order, with a fourth
+    component at or next to the square root of half the leg product: mostly
+    triples whose area is not twice a square."""
+    p = draw(st.integers(2, 10**15))
+    q = draw(st.integers(1, p - 1))
+    d = draw(st.integers(1, 10**6))
+    legs = [d * (p * p - q * q), d * 2 * p * q]
+    if draw(st.booleans()):
+        legs.reverse()
+    x3 = max(0, math.isqrt(legs[0] * legs[1] // 2) + draw(st.integers(-1, 1)))
+    return legs[0], legs[1], d * (p * p + q * q), x3
+
+
+@settings(max_examples=300, deadline=None)
+@example(quad=(3, 4, 5, 2), tag=0, form="relaxed")  # P and P_0 fail
+@example(quad=(4, 3, 5, 2), tag=1, form="relaxed")  # P_1 fails
+@given(
+    quad=st.one_of(st.tuples(_big, _big, _big, _big), _pythagorean()),
+    tag=st.one_of(st.integers(0, 2), _big),
+    form=st.sampled_from(sorted(FORMS)),
+)
+def test_checked_predicates_agree_with_full_decoding_on_large_codes(quad, tag, form):
+    code = quad_encode(*quad)
+    # A state (e, f, g, h) with e > f: a triple's larger leg, smaller leg and
+    # hypotenuse for the relaxed form.
+    state = quad_encode(max(quad[:2]), min(quad[:2]), *quad[2:])
+    with pytest.MonkeyPatch.context() as mp:
+        for name, relaxed in FORMS[form].items():
+            mp.setattr(fermat, name, relaxed)
+        for v in (code, pair_encode(tag, code), pair_encode(tag, state)):
+            assert _by_checked_predicates(v) == _by_full_decoding(v)
 
 
 def test_run_descent_fermat_trivially_holds():
