@@ -210,12 +210,6 @@ def instances() -> dict[str, _Instance]:
 # descent traces
 
 
-def _is_counterexample(values: list[int]) -> bool:
-    from .fermat import CandidateSolution, is_counterexample
-
-    return is_counterexample(CandidateSolution(*values))
-
-
 def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
     from .descent_engine import run_descent
 
@@ -226,9 +220,10 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
     if len(values) != entry.arity:
         print(f"instance {name!r} takes {entry.arity} start value(s)", file=sys.stderr)
         return EXIT_USAGE
+    inst, start = entry.trace(values)
     # A fermat or walsh descent starts only from a counterexample, which the
     # theorem rules out; it is wired anyway so a falsifying input descends.
-    if name in ("fermat", "walsh") and not _is_counterexample(values):
+    if name in ("fermat", "walsh") and inst.predicate(start):
         x0, x1, x2, x3 = values
         if fmt == "jsonl":
             rec = {
@@ -254,7 +249,6 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
         )
         return EXIT_OK
     try:
-        inst, start = entry.trace(values)
         trace = run_descent(inst, start, max_steps=10_000)
     except DomainError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
@@ -295,10 +289,8 @@ def cmd_decompose(kind: str, values: list[int], out) -> int:
         frenicle_xxxviii,
     )
 
+    # argparse's choices have already rejected an unknown kind.
     arity = {"triple": 3, "two-square": 3, "frenicle": 4}
-    if kind not in arity:
-        print(f"unknown decomposition kind {kind!r}", file=sys.stderr)
-        return EXIT_USAGE
     if len(values) != arity[kind]:
         print(f"decompose {kind} takes {arity[kind]} values", file=sys.stderr)
         return EXIT_USAGE

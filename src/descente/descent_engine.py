@@ -75,7 +75,8 @@ class DescentInstance(
 ):
     """Indefinite descent: every counterexample steps to a smaller one.
 
-    predicate, weight, and step must be pure functions.
+    predicate, weight, and step must be pure functions.  The engine calls
+    step only on a value where predicate fails, so a step need not test it.
     """
 
     __slots__ = ()
@@ -87,7 +88,11 @@ class ReductionDescentInstance(
     )
 ):
     """Reduction-descent: a base class satisfies the predicate directly;
-    everything else must step down to a smaller counterexample."""
+    everything else must step down to a smaller counterexample.
+
+    The engine calls step only on a value where both predicate and base
+    fail, so a step need not test either.
+    """
 
     __slots__ = ()
 
@@ -98,7 +103,9 @@ class IndexedDescentFamily(
     """Varying-predicate descent: a counterexample of P_i steps to a smaller
     counterexample of P_{i+1}.
 
-    Indexing beyond the list saturates at the final predicate.
+    Indexing beyond the list saturates at the final predicate.  The engine
+    calls steps[i] only on a value where predicates[i] fails, so a step need
+    not test it.
     """
 
     __slots__ = ()
@@ -316,71 +323,64 @@ def _step_obligations(
         )
 
 
-def check_id(inst: DescentInstance, bound: int) -> Report:
-    """Certify the indefinite-descent obligations for all values <= bound."""
+def _check(
+    schema: str,
+    name: str,
+    bound: int,
+    weight: Weight,
+    obligations: list[tuple[int | None, Predicate, Step, Predicate]],
+    base: Predicate | None = None,
+) -> Report:
+    """The one loop over check values, for ID, RD and ID'.  For each (index,
+    predicate, step, target) obligation and each value <= bound where the
+    predicate fails, a value in base is a failure, and any other must step to
+    a lower-weight value where target fails.  Base is read only there, which
+    for a pure instance gives the report of reading it first."""
     if bound < 1:
         raise DomainError("bound must be >= 1")
     failures: list[Failure] = []
-    predicate = inst.predicate
-    for v in range(bound + 1):
-        if not predicate(v):
-            _step_obligations(inst.step, inst.weight, predicate, v, failures)
-    return Report("id", inst.name, bound, tuple(failures))
+    for index, predicate, step, target in obligations:
+        for v in range(bound + 1):
+            if predicate(v):
+                continue
+            if base is not None and base(v):
+                failures.append(
+                    Failure(v, "base-without-predicate", "base holds but predicate fails", index)
+                )
+            else:
+                _step_obligations(step, weight, target, v, failures, index)
+    return Report(schema, name, bound, tuple(failures))
+
+
+def check_id(inst: DescentInstance, bound: int) -> Report:
+    """Certify the indefinite-descent obligations for all values <= bound."""
+    obligation = (None, inst.predicate, inst.step, inst.predicate)
+    return _check("id", inst.name, bound, inst.weight, [obligation])
 
 
 def check_rd(inst: ReductionDescentInstance, bound: int) -> Report:
-    """Certify both reduction-descent obligations for all values <= bound.
-
-    Where the predicate holds, neither obligation can fire, so base is read
-    only where it fails; the instance is pure, so this is the report of
-    reading base first.
-    """
-    if bound < 1:
-        raise DomainError("bound must be >= 1")
-    failures: list[Failure] = []
-    predicate = inst.predicate
-    for v in range(bound + 1):
-        if predicate(v):
-            continue
-        if inst.base(v):
-            failures.append(Failure(v, "base-without-predicate", "base holds but predicate fails"))
-        else:
-            _step_obligations(inst.step, inst.weight, predicate, v, failures)
-    return Report("rd", inst.name, bound, tuple(failures))
+    """Certify both reduction-descent obligations for all values <= bound."""
+    obligation = (None, inst.predicate, inst.step, inst.predicate)
+    return _check("rd", inst.name, bound, inst.weight, [obligation], inst.base)
 
 
 def check_id_prime(fam: IndexedDescentFamily, bound: int) -> Report:
-    """Certify the per-index obligations of the varying-predicate schema."""
-    if bound < 1:
-        raise DomainError("bound must be >= 1")
-    failures: list[Failure] = []
-    last = len(fam.predicates) - 1
-    for i, pred in enumerate(fam.predicates):
-        nxt = fam.predicates[min(i + 1, last)]
-        step = fam.steps[i]
-        for v in range(bound + 1):
-            if not pred(v):
-                _step_obligations(step, fam.weight, nxt, v, failures, index=i)
-    return Report("idprime", fam.name, bound, tuple(failures))
+    """Certify the per-index obligations of the varying-predicate schema:
+    P_i steps into P_{i+1}, and the last predicate into itself."""
+    preds = fam.predicates
+    obligations = list(zip(range(len(preds)), preds, fam.steps, preds[1:] + preds[-1:]))
+    return _check("idprime", fam.name, bound, fam.weight, obligations)
 
 
 def rd_to_id(inst: ReductionDescentInstance) -> DescentInstance:
     """The classical transformation: check the disjunction base-or-predicate
-    as a single indefinite descent, with the step restricted accordingly."""
-
-    def predicate(z: int) -> bool:
-        return inst.predicate(z) or inst.base(z)
-
-    def step(z: int) -> int | None:
-        if inst.predicate(z) or inst.base(z):
-            return None
-        return inst.step(z)
-
+    as a single indefinite descent.  The step is the instance's own, since
+    the engine calls it only where the disjunction fails."""
     return DescentInstance(
         name=f"{inst.name}-as-id",
-        predicate=predicate,
+        predicate=lambda z: inst.predicate(z) or inst.base(z),
         weight=inst.weight,
-        step=step,
+        step=inst.step,
         describe=inst.describe,
     )
 
@@ -528,10 +528,8 @@ def gcd_instance() -> ReductionDescentInstance:
     decreases.
     """
 
-    def step(v: int) -> int | None:
+    def step(v: int) -> int:
         a, b = pair_decode(v)
-        if b == 0:
-            return None
         return pair_encode(b, a % b)
 
     return ReductionDescentInstance(
@@ -552,5 +550,6 @@ def gcd_trace_instance() -> DescentInstance:
 
 def _walk_to_base(name: str, rd: ReductionDescentInstance) -> DescentInstance:
     """A trace instance that walks a reduction descent's steps until its base
-    class holds."""
+    class holds.  The walk calls rd's step wherever base fails, whatever
+    rd's predicate says there, so that step must be defined off the base."""
     return DescentInstance(name, rd.base, rd.weight, rd.step, rd.describe)

@@ -283,11 +283,8 @@ def fermat_instance() -> DescentInstance:
     def weight(v: int) -> int:
         return decode_candidate(v).x2
 
-    def step(v: int) -> int | None:
-        c = decode_candidate(v)
-        if not is_counterexample(c):
-            return None
-        c = _reduce_to_coprime(c)
+    def step(v: int) -> int:
+        c = _reduce_to_coprime(decode_candidate(v))
         y = descend_claim_ii(claim_ii(claim_i(c)))
         return quad_encode(*y)
 
@@ -314,24 +311,15 @@ def walsh_family() -> IndexedDescentFamily:
         e, f, _, _ = quad_decode(payload)
         return walsh_state_weight(e, f)
 
-    def step0(v: int) -> int | None:
-        tag, payload = pair_decode(v)
-        if tag != 0:
-            return None
-        c = CandidateSolution(*quad_decode(payload))
-        if not is_counterexample(c):
-            return None
+    # P_0 fails only on a counterexample tagged 0 and P_1 only on a claim-II
+    # state tagged 1, so each step reads its payload without a test.
+    def step0(v: int) -> int:
+        c = CandidateSolution(*quad_decode(pair_decode(v)[1]))
         d = walsh_claim_iii(_reduce_to_coprime(c))
         return encode_walsh_state(d)
 
-    def step1(v: int) -> int | None:
-        tag, payload = pair_decode(v)
-        if tag != 1:
-            return None
-        e, f, g, h = quad_decode(payload)
-        if not _is_claim_ii_tuple(e, f, g, h):
-            return None
-        y = descend_claim_ii(ClaimIIData(e=e, f=f, g=g, h=h))
+    def step1(v: int) -> int:
+        y = descend_claim_ii(ClaimIIData(*quad_decode(pair_decode(v)[1])))
         nxt = claim_ii(claim_i(CandidateSolution(*y)))
         return encode_walsh_state(nxt)
 
@@ -387,7 +375,8 @@ def exhaustive_search(
     """
     from .certificate import search
 
-    results = {CandidateSolution(*sol) for sol in search(bound_x2, cache_path)}
+    # search returns its solutions sorted and distinct, all with positive legs.
+    results = [CandidateSolution(*sol) for sol in search(bound_x2, cache_path)]
     if allow_zero:
-        results |= degenerate_solutions()
-    return sorted(results, key=CandidateSolution.as_tuple)
+        results = sorted(degenerate_solutions().union(results))
+    return results

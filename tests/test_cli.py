@@ -277,6 +277,21 @@ def test_descent_wrong_arity_exits_64():
     assert code == EXIT_USAGE
 
 
+_GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", list(_GOLDEN))
+def test_checks_and_descents_match_golden_output(command, capsys):
+    """Exit code and stdout, byte for byte, of each schema check and each
+    descent kind (walks, guard rejections) in text and jsonl, as recorded in
+    golden_cli.json; nothing on stderr."""
+    out = io.StringIO()
+    code = main(command.split(), out=out)
+    want = _GOLDEN[command]
+    assert (code, out.getvalue()) == (want["exit"], "".join(f"{line}\n" for line in want["stdout"]))
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # check
 

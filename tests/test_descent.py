@@ -288,7 +288,9 @@ def test_check_rd_and_rd_to_id_match_base_first_order_randomized():
         assert check_id(as_id, bound) == check_id(base_first, bound)
         for v in range(bound + 1):
             assert as_id.predicate(v) == base_first.predicate(v)
-            assert _step_outcome(as_id.step, v) == _step_outcome(base_first.step, v)
+            # The engine calls a step only where the predicate fails.
+            if not as_id.predicate(v):
+                assert _step_outcome(as_id.step, v) == _step_outcome(base_first.step, v)
         kinds |= {f.kind for f in report.failures}
     assert kinds == {
         "base-without-predicate",
@@ -297,6 +299,65 @@ def test_check_rd_and_rd_to_id_match_base_first_order_randomized():
         "weight-not-decreased",
         "step-not-counterexample",
     }
+
+
+class _ContractSpy:
+    """Wraps an instance's predicates, base and steps.  A step call is a
+    violation unless each test it names was last evaluated at the step's
+    value and found false there.  Violations are recorded rather than
+    raised, since the checkers turn a raising step into a failure record."""
+
+    def __init__(self):
+        self.last = {}
+        self.steps = 0
+        self.violations = []
+
+    def test(self, tag, fn):
+        def spied(v):
+            self.last[tag] = (v, fn(v))
+            return self.last[tag][1]
+
+        return spied
+
+    def step(self, needs, fn):
+        def spied(v):
+            self.steps += 1
+            self.violations += [(t, v) for t in needs if self.last.get(t) != (v, False)]
+            return fn(v)
+
+        return spied
+
+
+def test_engine_calls_a_step_only_where_the_predicate_just_failed():
+    """check_id, check_rd, check_id_prime, check_id(rd_to_id(.)) and
+    run_descent call a step only at a value where they have just found the
+    predicate false, and for RD the base false too, on 100 table instances
+    of all three types, most of them broken."""
+    rng = random.Random(20261019)
+    bound = 40
+    steps = 0
+    for _ in range(100):
+        rd, other = _random_broken_rd_instance(rng, bound), _random_broken_rd_instance(rng, bound)
+        spy = _ContractSpy()
+        p, base = spy.test("P", rd.predicate), spy.test("B", rd.base)
+        inst = DescentInstance("id", p, rd.weight, spy.step("P", rd.step))
+        as_rd = ReductionDescentInstance("rd", base, p, rd.weight, spy.step("PB", rd.step))
+        fam = IndexedDescentFamily(
+            "idprime",
+            (p, spy.test("Q", other.predicate)),
+            rd.weight,
+            (inst.step, spy.step("Q", other.step)),
+        )
+        check_id(inst, bound)
+        check_rd(as_rd, bound)
+        check_id(rd_to_id(as_rd), bound)
+        check_id_prime(fam, bound)
+        for start in range(bound + 1):
+            run_descent(inst, start, 50)
+            run_descent(rd_to_id(as_rd), start, 50)
+        assert spy.violations == []
+        steps += spy.steps
+    assert steps > 5_000
 
 
 def test_check_rd_vii31_makes_no_is_prime_call(monkeypatch):
@@ -346,6 +407,17 @@ def test_id_prime_detects_step_landing_on_satisfying_value():
     report = check_id_prime(fam, 10)
     assert [f.kind for f in report.failures] == ["step-not-counterexample"]
     assert report.failures[0].index == 0
+
+
+def test_id_prime_steps_into_the_next_predicate_and_the_last_into_itself():
+    fam = IndexedDescentFamily(
+        "shift",
+        predicates=(lambda v: v != 9, lambda v: v not in (3, 5)),
+        weight=lambda v: v,
+        steps=({9: 5}.get, {5: 3}.get),
+    )
+    report = check_id_prime(fam, 10)
+    assert [(f.value, f.kind, f.index) for f in report.failures] == [(3, "step-undefined", 1)]
 
 
 def test_id_prime_requires_nonempty_family():
