@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from .errors import DomainError
 
@@ -56,13 +56,22 @@ def tagged(tag: int, pred: Predicate) -> Predicate:
 
     It reads the tag from one isqrt and builds no tuple: with
     s = floor((sqrt(8v + 1) - 1) / 2), the first component of v is
-    s(s + 3)/2 - v and the second is s minus the first.
+    s(s + 3)/2 - v and the second is s minus the first.  Its candidates are
+    the tag's fiber, pair_encode(tag, t) for t = 0, 1, ..., which increases
+    with t: outside the fiber the predicate holds by definition.
     """
 
     def holds(v: int) -> bool:
         s = (math.isqrt(8 * v + 1) - 1) // 2
         return s * (s + 3) // 2 - v != tag or pred(s - tag)
 
+    def candidates(bound: int) -> Iterator[int]:
+        t = 0
+        while (v := pair_encode(tag, t)) <= bound:
+            yield v
+            t += 1
+
+    holds.candidates = candidates
     return holds
 
 
@@ -335,12 +344,21 @@ def _check(
     predicate, step, target) obligation and each value <= bound where the
     predicate fails, a value in base is a failure, and any other must step to
     a lower-weight value where target fails.  Base is read only there, which
-    for a pure instance gives the report of reading it first."""
+    for a pure instance gives the report of reading it first.
+
+    A predicate may carry candidates(bound): the values <= bound, distinct
+    and increasing, outside which it cannot fail.  The loop then visits only
+    those, and still tests the predicate at each, so the report is the one
+    of visiting every value.  A candidate set may leave out only values
+    where a structural part of the failure condition is false (a tag, an
+    equation); a constant predicate has none, since an empty set would
+    assume the claim its check certifies."""
     if bound < 1:
         raise DomainError("bound must be >= 1")
     failures: list[Failure] = []
     for index, predicate, step, target in obligations:
-        for v in range(bound + 1):
+        candidates = getattr(predicate, "candidates", None)
+        for v in range(bound + 1) if candidates is None else candidates(bound):
             if predicate(v):
                 continue
             if base is not None and base(v):
@@ -494,8 +512,45 @@ def vii31_instance() -> DescentInstance:
 
 def vii31_trace_instance() -> DescentInstance:
     """The narrative form of the VII.31 walk: descend through proper divisors
-    until a prime remains."""
-    return _walk_to_base("vii31", vii31_rd_instance())
+    until a prime remains.
+
+    It factors a walk's start once.  Each step divides out the largest
+    prime, so the factor list of its output is the input's with that
+    prime's exponent lowered, and a value is prime iff its list is one
+    prime to the first power.  The memo is closure-local, and a value it
+    does not hold is factored afresh, so the instance stays pure.  Its
+    base, step and describe agree with vii31_rd_instance's.
+    """
+    from .core_arith import _prime_factors, check_natural
+
+    memo: dict[int, list[tuple[int, int]]] = {}
+
+    def factors(x: int) -> list[tuple[int, int]]:
+        if x not in memo:
+            memo[x] = _prime_factors(x)
+        return memo[x]
+
+    def prime(x: int) -> bool:
+        check_natural(x)
+        return x > 1 and factors(x) == [(x, 1)]
+
+    def step(x: int) -> int | None:
+        check_natural(x)
+        if x <= 1:
+            return None
+        *rest, (p, e) = factors(x)
+        if p == x:
+            return None
+        memo[x // p] = rest + [(p, e - 1)] if e > 1 else rest
+        return x // p
+
+    return DescentInstance(
+        "vii31",
+        lambda x: x <= 1 or prime(x),
+        lambda x: x,
+        step,
+        lambda x: f"{x}" + (" (prime)" if prime(x) else ""),
+    )
 
 
 def vii31_rd_instance() -> ReductionDescentInstance:
@@ -544,12 +599,8 @@ def gcd_instance() -> ReductionDescentInstance:
 
 def gcd_trace_instance() -> DescentInstance:
     """The narrative form of the remainder descent: walk until the second
-    component is 0."""
-    return _walk_to_base("gcd", gcd_instance())
-
-
-def _walk_to_base(name: str, rd: ReductionDescentInstance) -> DescentInstance:
-    """A trace instance that walks a reduction descent's steps until its base
-    class holds.  The walk calls rd's step wherever base fails, whatever
-    rd's predicate says there, so that step must be defined off the base."""
-    return DescentInstance(name, rd.base, rd.weight, rd.step, rd.describe)
+    component is 0.  The walk calls the RD step wherever the base fails,
+    whatever the predicate says there, so that step must be defined off the
+    base."""
+    rd = gcd_instance()
+    return DescentInstance("gcd", rd.base, rd.weight, rd.step, rd.describe)

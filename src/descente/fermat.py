@@ -12,6 +12,7 @@ through the proportions and diophantine modules.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .descent_engine import (
@@ -256,6 +257,34 @@ def _not_counterexample(v: int) -> bool:
     left, right = pair_decode(v)
     x0, x1 = pair_decode(left)
     return not (x0 and x1) or not _solves(x0, x1, *pair_decode(right))
+
+
+def _triple_codes(bound: int) -> list[int]:
+    """The quad codes <= bound with positive legs whose third component is
+    their hypotenuse, increasing: outside them _not_counterexample holds.
+
+    A code pair_encode(L, R) is at least L(L + 1)/2, and Cantor pairing
+    increases strictly in each argument, so the left codes L = (x0, x1)
+    with L(L + 1)/2 <= bound and, for each Pythagorean one, the right codes
+    R = (x2, t) in increasing t while the code stays <= bound, are all of
+    them.  That is O(sqrt(bound)) left codes.
+    """
+    codes = []
+    left = 0
+    while left * (left + 1) // 2 <= bound:
+        x0, x1 = pair_decode(left)
+        squares = x0 * x0 + x1 * x1
+        x2 = math.isqrt(squares)
+        if x0 and x1 and x2 * x2 == squares:
+            t = 0
+            while (v := pair_encode(left, pair_encode(x2, t))) <= bound:
+                codes.append(v)
+                t += 1
+        left += 1
+    return sorted(codes)
+
+
+_not_counterexample.candidates = _triple_codes
 
 
 def _not_claim_ii_code(v: int) -> bool:

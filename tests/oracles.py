@@ -72,6 +72,31 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+def cantor_pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs with Cantor codes 0..n in code order, by walking the
+    diagonals: (s, 0), (s - 1, 1), ..., (0, s), then (s + 1, 0)."""
+    pairs = [(0, 0)]
+    while len(pairs) <= n:
+        a, b = pairs[-1]
+        pairs.append((b + 1, 0) if a == 0 else (a - 1, b + 1))
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def brute_triple_codes(bound: int) -> tuple[int, ...]:
+    """Every code v <= bound of a quadruple ((x0, x1), (x2, x3)) with
+    x0, x1 >= 1 and x0^2 + x1^2 = x2^2, each code decoded through
+    cantor_pairs."""
+    pairs = cantor_pairs(bound)
+    out = []
+    for v, (left, right) in enumerate(pairs):
+        x0, x1 = pairs[left]
+        x2 = pairs[right][0]
+        if x0 >= 1 and x1 >= 1 and x0 * x0 + x1 * x1 == x2 * x2:
+            out.append(v)
+    return tuple(out)
+
+
 def brute_multiples_scan(p: int, q: int, bound_x2: int):
     """Every multiple d*(x0, x1, x2) with d*x2 <= bound_x2 of the triple with
     generators (p, q), legs sorted, whose leg product is twice a square, as

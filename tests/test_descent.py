@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descente.descent_engine import (
@@ -29,6 +29,7 @@ from descente.descent_engine import (
     quad_encode,
     rd_to_id,
     run_descent,
+    tagged,
     vii31_instance,
     vii31_rd_instance,
     vii31_trace_instance,
@@ -360,6 +361,57 @@ def test_engine_calls_a_step_only_where_the_predicate_just_failed():
     assert steps > 5_000
 
 
+def _tangled_step(v: int) -> int | None:
+    """A step with every outcome: undefined, raising, not lowering the
+    weight, and landing on either side of a predicate."""
+    if v % 7 == 0:
+        return None
+    if v % 11 == 0:
+        raise ValueError(v)
+    return v + 1 if v % 5 == 0 else v // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tag=st.integers(0, 120),
+    k=st.integers(2, 9),
+    r=st.integers(0, 8),
+    bound=st.integers(1, 2 * 10**4),
+)
+def test_tagged_candidates_lose_no_failure(tag, k, r, bound):
+    """Over tagged(tag, u % k != r), a check that walks the tag's fiber gives
+    the report of one that visits every value, for ID, ID' and RD with a
+    failing base."""
+    fast = tagged(tag, lambda u: u % k != r)
+    other = tagged(tag + 1, lambda u: u % k != r % 3)
+    plain, plain_other = (lambda v: fast(v)), (lambda v: other(v))
+    assert not hasattr(plain, "candidates")
+    fiber = list(fast.candidates(bound))
+    assert fiber == sorted(set(fiber)) and all(0 <= v <= bound for v in fiber)
+    assert fiber == [pair_encode(tag, t) for t in range(len(fiber))]
+    assert pair_encode(tag, len(fiber)) > bound
+
+    def weight(v: int) -> int:
+        return v
+
+    report = check_id(DescentInstance("t", fast, weight, _tangled_step), bound)
+    assert report == check_id(DescentInstance("t", plain, weight, _tangled_step), bound)
+    undefined = check_id(DescentInstance("t", fast, weight, lambda v: None), bound)
+    assert [f.value for f in undefined.failures] == [
+        pair_encode(tag, t) for t in range(len(fiber)) if t % k == r
+    ]
+
+    def fam(p0, p1):
+        return IndexedDescentFamily("t", (p0, p1), weight, (_tangled_step, _tangled_step))
+
+    assert check_id_prime(fam(fast, other), bound) == check_id_prime(fam(plain, plain_other), bound)
+
+    def rd(p):
+        return ReductionDescentInstance("t", lambda v: v % 3 == 0, p, weight, _tangled_step)
+
+    assert check_rd(rd(fast), bound) == check_rd(rd(plain), bound)
+
+
 def test_check_rd_vii31_makes_no_is_prime_call(monkeypatch):
     """The vii31 predicate always holds, so `check rd vii31` never reads the
     base, a primality test."""
@@ -447,6 +499,60 @@ def test_run_descent_vii31_360():
     trace = run_descent(vii31_trace_instance(), 360, 100)
     assert [e.value for e in trace.entries] == [360, 72, 24, 8, 4, 2]
     assert trace.outcome == "predicate-holds"
+
+
+@pytest.mark.parametrize(
+    "start", [2**40, 360, 97, 1000000007 * 1000000009, 2**100 * 3**5 * 1000000007]
+)
+def test_vii31_walk_factors_its_start_once(start, monkeypatch):
+    """The walk factors its start and nothing else, and tests no primality
+    outside that factorization; its trace is the one of the RD instance's
+    base, step and describe, which refactor at every step."""
+    from descente import core_arith
+
+    rd = vii31_rd_instance()
+    walk = DescentInstance("vii31", rd.base, rd.weight, rd.step, rd.describe)
+    reference = run_descent(walk, start, 1000)
+    calls = {"factors": 0, "is_prime outside": 0}
+    depth = [0]
+    prime_factors, is_prime = core_arith._prime_factors, core_arith.is_prime
+
+    def spy_factors(x):
+        calls["factors"] += 1
+        depth[0] += 1
+        try:
+            return prime_factors(x)
+        finally:
+            depth[0] -= 1
+
+    def spy_is_prime(x):
+        calls["is_prime outside"] += not depth[0]
+        return is_prime(x)
+
+    monkeypatch.setattr(core_arith, "_prime_factors", spy_factors)
+    monkeypatch.setattr(core_arith, "is_prime", spy_is_prime)
+    assert run_descent(vii31_trace_instance(), start, 1000) == reference
+    assert calls == {"factors": 1, "is_prime outside": 0}
+
+
+def test_vii31_walk_is_pure_off_its_memo():
+    """Called in any order, on values no walk reached, the memoized walk
+    agrees with the RD instance at every value."""
+    from descente.core_arith import proper_divisor_step
+
+    rd, inst = vii31_rd_instance(), vii31_trace_instance()
+    values = list(range(400)) + [2**40, 2**39 * 3, 7**5]
+    for v in values[::-1] + values:
+        assert (inst.predicate(v), inst.step(v), inst.describe(v)) == (
+            rd.base(v),
+            proper_divisor_step(v),
+            rd.describe(v),
+        )
+    for v in (-1, -12):
+        with pytest.raises(DomainError):
+            inst.step(v)
+        with pytest.raises(DomainError):
+            inst.describe(v)
 
 
 def test_run_descent_bound_exceeded():

@@ -342,6 +342,32 @@ def test_checked_predicates_agree_with_full_decoding_on_large_codes(quad, tag, f
             assert _by_checked_predicates(v) == _by_full_decoding(v)
 
 
+def test_fermat_candidates_are_the_brute_triple_codes():
+    """The fermat check visits exactly the codes <= bound with positive legs
+    and a hypotenuse as third component: 91 at 80,000, 234 at 300,000.  The
+    bounds include codes of the set itself, and the codes one below them."""
+    from .oracles import brute_triple_codes
+
+    codes = brute_triple_codes(300_000)
+    counts = {80_000: 91, 300_000: 234}
+    exact = codes[::37] + codes[-1:]
+    for bound in [1, 2, 100, 5000, 80_000, 123_457, 300_000, *exact, *(v - 1 for v in exact)]:
+        oracle = [v for v in codes if v <= bound]
+        assert fermat._not_counterexample.candidates(bound) == oracle
+        assert len(oracle) == counts.get(bound, len(oracle))
+
+
+def test_check_without_the_area_conjunct_fails_at_exactly_the_triple_codes(monkeypatch):
+    """With the area conjunct dropped, the predicate fails on every triple
+    code, and the check over its candidates reports each one, in order."""
+    from .oracles import brute_triple_codes
+
+    monkeypatch.setattr(fermat, "_solves", FORMS["relaxed"]["_solves"])
+    inst = fermat_instance()._replace(step=lambda v: None)
+    report = check_id(inst, 300_000)
+    assert [f.value for f in report.failures] == list(brute_triple_codes(300_000))
+
+
 def test_run_descent_fermat_trivially_holds():
     inst = fermat_instance()
     trace = run_descent(inst, encode_candidate(CandidateSolution(3, 4, 5, 1)), 10)
