@@ -1,11 +1,11 @@
 """The square-area theorem: no Pythagorean triangle with positive integer
-sides has area 2*x3^2 twice a square... precisely: x0^2 + x1^2 == x2^2 with
-x0, x1 >= 1 excludes x0*x1 == 2*x3^2.
+sides has a square area.  Precisely, x0^2 + x1^2 = x2^2 with x0, x1 >= 1
+excludes x0*x1 = 2*x3^2, since the area x0*x1/2 would be x3^2.
 
 The claims of the descent are runnable code even though their shared
 precondition (a genuine counterexample) is unsatisfiable: that emptiness is
-the theorem, and the row sieve of the certificate module certifies it at
-desk scale.
+the theorem, and the Claim I search of the certificate module certifies it
+at desk scale.
 Each claim's constructive core is independently satisfiable and tested
 through the proportions and diophantine modules.
 """
@@ -389,23 +389,13 @@ def walsh_trace_instance() -> DescentInstance:
 
 
 def exhaustive_search(
-    bound_x2: int,
-    allow_zero: bool = False,
-    cache_path: str | None = None,
+    bound_x2: int, cache_path: str | None = None
 ) -> list[CandidateSolution]:
-    """All quadruples with 1 <= x0 <= x1, x0^2 + x1^2 = x2^2 <= bound_x2^2 and
-    x0*x1 = 2*x3^2, from the row sieve of certificate.search, which also
-    documents the resume cache at cache_path.
-
-    With allow_zero, zero-leg quadruples are admitted as well; there the
-    classification is restricted to coprime triples (plus the all-zero
-    quadruple), which is where the descent's primitivity reduction bottoms
-    out.  Expected result either way: nothing beyond the degenerate set.
+    """All quadruples with 1 <= x0 <= x1, x0^2 + x1^2 = x2^2, x2 <= bound_x2
+    and x0*x1 = 2*x3^2, from certificate.search, which also documents the
+    resume cache at cache_path.  Expected result: none.  With zero legs
+    admitted, degenerate_solutions() lists the rest.
     """
     from .certificate import search
 
-    # search returns its solutions sorted and distinct, all with positive legs.
-    results = [CandidateSolution(*sol) for sol in search(bound_x2, cache_path)]
-    if allow_zero:
-        results = sorted(degenerate_solutions().union(results))
-    return results
+    return [CandidateSolution(*sol) for sol in search(bound_x2, cache_path)]

@@ -112,6 +112,23 @@ def brute_multiples_scan(p: int, q: int, bound_x2: int):
     return sols
 
 
+def square_generator_pairs(bound_x2: int) -> list[tuple[int, int]]:
+    """The generator pairs p > q >= 1, coprime and of opposite parity, with
+    p^2 + q^2 <= bound_x2 and both p and q perfect squares, in increasing
+    (p, q): every p is walked, and only the square ones are searched for a q."""
+    out = []
+    p = 2
+    while p * p + 1 <= bound_x2:
+        if is_perfect_square(p):
+            for q in range(1, p):
+                if p * p + q * q > bound_x2:
+                    break
+                if is_perfect_square(q) and (p + q) % 2 and math.gcd(p, q) == 1:
+                    out.append((p, q))
+        p += 1
+    return out
+
+
 def naive_exhaustive_search(bound_x2: int, allow_zero: bool = False):
     """Every (x0, x1, x2, x3) with x0^2 + x1^2 = x2^2, x2 <= bound_x2 and
     x0*x1 = 2*x3^2, sorted, by a double loop over the legs; O(bound^2).

@@ -32,6 +32,7 @@ from descente.diophantine import (
     generate_triple,
 )
 from descente.fermat import (
+    degenerate_solutions,
     exhaustive_search,
     walsh_family,
     walsh_start_weight,
@@ -78,8 +79,10 @@ def test_criterion_01_vacuity_at_desk_scale(announce):
 
 
 def test_criterion_02_degenerate_solution_set(announce):
-    got = {c.as_tuple() for c in exhaustive_search(10, allow_zero=True)}
+    got = {c.as_tuple() for c in degenerate_solutions()}
     check(announce, got == {(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)}, str(got))
+    for bound in (10, 50):
+        check(announce, sorted(got) == naive_exhaustive_search(bound, allow_zero=True), str(bound))
 
 
 def test_criterion_03_parametrization_bijection(announce):

@@ -1,10 +1,13 @@
-"""The row sieve behind `search`: its residue masks, its coverage, its
-blocks, and the modules and memory a search needs."""
+"""The Claim I search behind `search`: the pairs it gives the exact test,
+the lemma that lets it skip every other generator pair, the coverage of the
+one generator enumeration, and the modules and memory a search needs."""
 
+import math
 import os
 import signal
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,109 +15,73 @@ import pytest
 from descente import certificate
 from descente.diophantine import generator_pairs
 
-from .oracles import primitive_triple_count
+from .oracles import is_perfect_square, primitive_triple_count, square_generator_pairs
 
 SRC = str(Path(__file__).parents[1] / "src")
 
 
-def _squares(m):
-    return {x * x % m for x in range(m)}
+def _tested(bound):
+    """The pairs (p, q) that certificate.search(bound) hands to the exact
+    test, in order, after checking that the search finds nothing."""
+    tested, scan = [], certificate.scan_generator_block
 
-
-def _run(bound, covered=None, survivors=None):
-    """certificate.search(bound), appending each pair the sieve covers (the
-    row's parity-and-coprime bits, before the residue masks) to covered and
-    each pair that reaches the exact test to survivors."""
-    coprime_bits, scan = certificate._coprime_bits, certificate.scan_generator_block
-
-    def count_covered(p, factors, q0, width):
-        bits = coprime_bits(p, factors, q0, width)
-        covered.extend((p, q0 + i) for i in range(width) if bits >> i & 1)
-        return bits
-
-    def record_survivor(p, q, bound_x2):
-        survivors.append((p, q))
+    def spy(p, q, bound_x2):
+        tested.append((p, q))
         return scan(p, q, bound_x2)
 
     with pytest.MonkeyPatch.context() as mp:
-        if covered is not None:
-            mp.setattr(certificate, "_coprime_bits", count_covered)
-        if survivors is not None:
-            mp.setattr(certificate, "scan_generator_block", record_survivor)
-        return certificate.search(bound)
+        mp.setattr(certificate, "scan_generator_block", spy)
+        assert certificate.search(bound) == []
+    return tested
 
 
-@pytest.mark.parametrize("m", certificate.MODULI)
-def test_residue_mask_keeps_exactly_the_square_products(m):
-    squares = _squares(m)
-    masks = certificate._residue_masks(m)
-    assert len(masks) == m
-    for a in range(m):
-        for b in range(m):
-            assert (masks[a] >> b & 1) == (a * b * (a * a - b * b) % m in squares), (a, b)
-        assert masks[a] >> m == 0
-
-
-@pytest.mark.parametrize("m", sorted(certificate.CRT_SPLITS))
-def test_crt_masks_equal_the_direct_masks(m):
-    assert certificate._masks(m) == certificate._residue_masks(m)
-
-
-def test_survivors_equal_a_per_pair_residue_filter_at_1e5():
-    bound = 10**5
-    squares = {m: _squares(m) for m in certificate.MODULI}
-    expected = [
-        (p, q)
-        for p, q in generator_pairs(bound)
-        if all(p * q * (p * p - q * q) % m in squares[m] for m in squares)
+def _square_pairs(bound):
+    """The pairs of generator_pairs(bound) with square p and q."""
+    return [
+        (p, q) for p, q in generator_pairs(bound) if is_perfect_square(p) and is_perfect_square(q)
     ]
-    survivors = []
-    assert _run(bound, survivors=survivors) == []
-    assert sorted(survivors) == expected
-    assert len(survivors) == 21
 
 
-def test_coverage_equals_generator_pairs_at_every_bound_to_3000(monkeypatch):
-    # Coverage is read before the residue masks, so they are left out here
-    # to keep 3000 searches fast.
-    monkeypatch.setattr(certificate, "MODULI", ())
+def test_coverage_equals_generator_pairs_at_every_bound_to_3000():
+    # The generator pairs with square p and q, the only ones Claim I admits.
+    squares = _square_pairs(3000)
     for bound in range(1, 3001):
-        covered = []
-        assert _run(bound, covered=covered) == []
-        assert covered == list(generator_pairs(bound)), bound
+        expected = [(p, q) for p, q in squares if p * p + q * q <= bound]
+        assert _tested(bound) == expected == square_generator_pairs(bound), bound
 
 
 @pytest.mark.parametrize("bound", [123_457, 10**6])
 def test_coverage_equals_generator_pairs(bound):
-    covered = []
-    assert _run(bound, covered=covered) == []
-    assert covered == list(generator_pairs(bound))
+    assert _tested(bound) == _square_pairs(bound) == square_generator_pairs(bound)
 
 
-def test_coverage_at_1e7_equals_the_moebius_count(monkeypatch):
-    covered = 0
-    coprime_bits = certificate._coprime_bits
+def test_tested_pairs_change_exactly_at_each_pair_bound():
+    pairs = square_generator_pairs(10**6)
+    for p, q in pairs:
+        for bound in (p * p + q * q - 1, p * p + q * q):
+            assert _tested(bound) == [t for t in pairs if t[0] ** 2 + t[1] ** 2 <= bound]
 
-    def count(p, factors, q0, width):
-        nonlocal covered
-        bits = coprime_bits(p, factors, q0, width)
-        covered += bin(bits).count("1")
-        return bits
 
-    monkeypatch.setattr(certificate, "_coprime_bits", count)
-    assert certificate.search(10**7) == []
+@pytest.mark.parametrize("bound, count", [(10**6, 187), (10**8, 1868)])
+def test_tested_pairs_are_the_square_generator_pairs(bound, count):
+    tested = _tested(bound)
+    assert tested == square_generator_pairs(bound)
+    assert len(tested) == count
+
+
+def test_generator_pairs_meet_the_claim_i_hypothesis():
+    # The lemma in certificate.search: p, q, p - q and p + q are pairwise
+    # coprime for every generator pair.
+    for p, q in generator_pairs(10**5):
+        for a, b in combinations((p, q, p - q, p + q), 2):
+            assert math.gcd(a, b) == 1, (p, q)
+
+
+def test_coverage_at_1e7_equals_the_moebius_count():
+    # generator_pairs, the one enumeration of the generator pairs, yields one
+    # pair per primitive triple.
+    covered = sum(1 for _ in generator_pairs(10**7))
     assert covered == primitive_triple_count(10**7) == 1_591_579
-
-
-def test_rows_split_into_blocks_give_the_same_sieve(monkeypatch):
-    bound = 10**5  # rows up to 223 bits wide
-    whole_covered, whole_survivors = [], []
-    assert _run(bound, whole_covered, whole_survivors) == []
-    monkeypatch.setattr(certificate, "BLOCK_BITS", 13)  # prime to every modulus
-    covered, survivors = [], []
-    assert _run(bound, covered, survivors) == []
-    assert covered == whole_covered == list(generator_pairs(bound))
-    assert sorted(survivors) == sorted(whole_survivors)
 
 
 def _python(code, *flags):

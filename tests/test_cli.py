@@ -118,7 +118,7 @@ def test_search_unwritable_cache_exits_1(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [b"row 2 x done\n", b"2 1 x done\n", b"\xff\xferow 2 100 done\n\x80 9\n"],
+    [b"erow 2 x done\n", b"2 1 x done\n", b"\xff\xfeerow 2 100 done\n\x80 9\n"],
     ids=["bad-number", "old-bad-number", "not-utf8"],
 )
 def test_search_ignores_unparsable_cache_lines(tmp_path, content):
@@ -127,8 +127,8 @@ def test_search_ignores_unparsable_cache_lines(tmp_path, content):
     code, lines = run_cli("search", "--bound", "100", "--format", "jsonl", "--cache", str(cache))
     assert code == EXIT_OK
     assert parse_search_record(lines[-1])["count"] == 0
-    # Row 2 was not covered by the unparsable line, so it is scanned and marked.
-    assert b"\nrow 2 100 done\n" in cache.read_bytes()
+    # No unparsable line covers a row, so e rows 2 and 3 are scanned and marked.
+    assert b"\nerow 2 100 done\nerow 3 100 done\n" in cache.read_bytes()
 
 
 def test_search_ends_cut_off_cache_line(tmp_path):
@@ -137,7 +137,7 @@ def test_search_ends_cut_off_cache_line(tmp_path):
     code, _ = run_cli("search", "--bound", "200", "--cache", str(cache))
     assert code == EXIT_OK
     # The first mark starts a line of its own instead of extending "1".
-    assert cache.read_bytes().startswith(b"1\nrow 2 200 done\n")
+    assert cache.read_bytes().startswith(b"1\nerow 2 200 done\n")
 
 
 def test_search_bad_bound_or_format_exits_64(tmp_path, capsys):
@@ -162,12 +162,9 @@ def test_search_resume_keeps_found_counterexample(tmp_path, monkeypatch):
     scan = certificate.scan_generator_block
 
     def planted(p, q, bound_x2):
-        return [(3, 4, 5, 1)] if (p, q) == (2, 1) else scan(p, q, bound_x2)
+        return [(3, 4, 5, 1)] if (p, q) == (4, 1) else scan(p, q, bound_x2)
 
     monkeypatch.setattr(certificate, "scan_generator_block", planted)
-    # The residue masks would filter out (2, 1): 2*1*3 = 6 is no square mod 11.
-    # With all-ones masks every generator pair reaches the exact test.
-    monkeypatch.setattr(certificate, "_residue_masks", lambda m: [(1 << m) - 1] * m)
     cache = str(tmp_path / "cache.txt")
     for _ in range(2):
         code, lines = run_cli("search", "--bound", "100", "--format", "jsonl", "--cache", cache)

@@ -422,14 +422,14 @@ def test_multiples_emits_every_multiple_up_to_the_bound():
 
 
 def test_exhaustive_search_zeros_admitted():
+    # Once zero legs are admitted, the degenerate set is all there is.
     from .oracles import naive_exhaustive_search
 
-    got = [c.as_tuple() for c in exhaustive_search(10, allow_zero=True)]
+    got = sorted(c.as_tuple() for c in degenerate_solutions())
     assert got == [(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)]
     assert got == naive_exhaustive_search(10, allow_zero=True)
     # stable under larger bounds too
-    got50 = [c.as_tuple() for c in exhaustive_search(50, allow_zero=True)]
-    assert got50 == got
+    assert got == naive_exhaustive_search(50, allow_zero=True)
 
 
 def test_exhaustive_search_rejects_bad_bound():
@@ -469,7 +469,8 @@ def test_generator_pairs_equal_a_brute_listing_to_400():
 
 
 def _rows(bound_x2):
-    return sorted({p for p, _ in generator_pairs(bound_x2)})
+    """The e rows a search at bound_x2 marks: every e >= 2 with e^4 < bound_x2."""
+    return [e for e in range(2, math.isqrt(bound_x2) + 1) if e**4 < bound_x2]
 
 
 def _marked_rows(text):
@@ -481,67 +482,80 @@ def test_search_with_cache_resumes(tmp_path):
     first = exhaustive_search(200, cache_path=str(cache))
     lines = cache.read_text().splitlines()
     assert lines and all(
-        line.startswith("row ") and line.endswith(" 200 done") for line in lines
+        line.startswith("erow ") and line.endswith(" 200 done") for line in lines
     )
-    assert _marked_rows(cache.read_text()) == _rows(200)
+    assert _marked_rows(cache.read_text()) == _rows(200) == [2, 3]
     # resuming skips every row and returns the same (empty) result
     second = exhaustive_search(200, cache_path=str(cache))
     assert second == first == []
     assert cache.read_text().splitlines() == lines  # nothing re-scanned
+    # Row e is marked iff e^4 < bound, also where the bound is e^4 itself.
+    for bound in (16, 17, 81, 82):
+        cache = tmp_path / f"resume{bound}.txt"
+        exhaustive_search(bound, cache_path=str(cache))
+        assert _marked_rows(cache.read_text()) == _rows(bound)
 
 
-def _spy_coverage(mp, covered):
-    """Append to covered every pair (p, q) the sieve covers: the bits of each
-    row block's parity-and-coprime mask, before the residue masks."""
-    coprime_bits = certificate._coprime_bits
+def _spy_tested(mp, tested):
+    """Append to tested every pair (p, q) the search hands to the exact test."""
+    scan = certificate.scan_generator_block
 
-    def spy(p, factors, q0, width):
-        bits = coprime_bits(p, factors, q0, width)
-        covered.extend((p, q0 + i) for i in range(width) if bits >> i & 1)
-        return bits
+    def spy(p, q, bound_x2):
+        tested.append((p, q))
+        return scan(p, q, bound_x2)
 
-    mp.setattr(certificate, "_coprime_bits", spy)
+    mp.setattr(certificate, "scan_generator_block", spy)
 
 
 def test_search_cache_is_keyed_by_bound(tmp_path, monkeypatch):
+    from .oracles import square_generator_pairs
+
     cache = str(tmp_path / "bounds.txt")
     exhaustive_search(100, cache_path=cache)
     scanned = []
-    _spy_coverage(monkeypatch, scanned)
-    # Marks made at 100 do not cover 2000: (2, 1) has 380 more multiples.
+    _spy_tested(monkeypatch, scanned)
+    # Marks made at 100 do not cover 2000: (4, 1) has 112 more multiples.
     assert exhaustive_search(2000, cache_path=cache) == []
-    assert scanned == list(generator_pairs(2000))
+    assert scanned == square_generator_pairs(2000)
     # Marks made at 2000 cover every smaller bound.
     scanned.clear()
     assert exhaustive_search(1000, cache_path=cache) == []
     assert scanned == []
     # Lines of the older formats count for nothing: `p q done` (the first),
-    # where `12 5 done` would otherwise read as rows <= 12 done at bound 5,
-    # and `p q bound done` (one line per pair), where `5 2 200 done` would
-    # read as rows <= 2 done at bound 200 if the `row` tag went unchecked.
-    for old in ("2 1 done\n", "12 5 done\n", "2 1 200 done\n", "5 2 200 done\n"):
+    # where `12 5 done` would otherwise read as rows <= 12 done at bound 5;
+    # `p q bound done` (one line per pair), where `5 2 200 done` would read
+    # as rows <= 2 done at bound 200 if the tag went unchecked; and
+    # `row p bound done` (one line per generator row p), which covers only
+    # the e rows with e^2 <= p, none for p = 2, so reading `row 2 200 done`
+    # as an e row would skip e row 2 unscanned.
+    olds = ("2 1 done\n", "12 5 done\n", "2 1 200 done\n", "5 2 200 done\n", "row 2 200 done\n")
+    for old in olds:
         (tmp_path / "bounds.txt").write_text(old)
         scanned.clear()
-        exhaustive_search(5, cache_path=cache)
-        assert scanned == [(2, 1)]
+        exhaustive_search(100, cache_path=cache)
+        assert scanned == [(4, 1), (9, 4)]
 
 
 def test_warm_search_enumerates_no_pair(tmp_path, monkeypatch):
+    from .oracles import square_generator_pairs
+
     cache = str(tmp_path / "warm.txt")
     assert exhaustive_search(10**4, cache_path=cache) == []
-    covered = []
-    _spy_coverage(monkeypatch, covered)
-    # Every row is marked, so no row is sieved.
+    tested = []
+    _spy_tested(monkeypatch, tested)
+    # Every row is marked, so no pair is tested.
     assert exhaustive_search(10**4, cache_path=cache) == []
-    assert covered == []
+    assert tested == []
     # The spy does see the pairs of an uncached run.
     assert exhaustive_search(10**4) == []
-    assert covered == list(generator_pairs(10**4))
+    assert tested == square_generator_pairs(10**4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(bound=st.integers(1, 3000), data=st.data())
+@given(bound=st.integers(1, 10**6), data=st.data())
 def test_interrupted_search_resumes_without_skipping(bound, data):
+    from .oracles import square_generator_pairs
+
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         cache = os.path.join(tmp, "cache.txt")
         uncached = exhaustive_search(bound)
@@ -559,10 +573,10 @@ def test_interrupted_search_resumes_without_skipping(bound, data):
             fh.write(kept)
 
         scanned = []
-        _spy_coverage(mp, scanned)
+        _spy_tested(mp, scanned)
         last = int(marks[k - 1].split()[1]) if k else 0
         assert exhaustive_search(bound, cache_path=cache) == uncached
-        assert scanned == [(p, q) for p, q in generator_pairs(bound) if p > last]
+        assert scanned == [(p, q) for p, q in square_generator_pairs(bound) if p > last**2]
         with open(cache) as fh:
             assert _marked_rows(fh.read()) == _rows(bound)
 
