@@ -14,8 +14,6 @@ record type round-trips through its parser.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
@@ -32,13 +30,14 @@ EXIT_USAGE = 64
 EXIT_PRECONDITION = 65
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with BSD-style usage exit code."""
+class UsageError(Exception):
+    """A malformed command line; main prints the command's usage before it."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+
+def _jsonl(record: dict) -> str:
+    import json  # only JSONL output loads json
+
+    return json.dumps(record)
 
 
 # ---------------------------------------------------------------------------
@@ -47,19 +46,14 @@ class _Parser(argparse.ArgumentParser):
 
 def triple_record(t: PythTriple, p: int, q: int, factor: int) -> dict:
     lo, hi = sorted(t.legs())
-    return {
-        "record": "triple",
-        "x0": lo,
-        "x1": hi,
-        "x2": t.x2,
-        "p": p,
-        "q": q,
-        "factor": factor,
-        "primitive": factor == 1,
-    }
+    return dict(
+        record="triple", x0=lo, x1=hi, x2=t.x2, p=p, q=q, factor=factor, primitive=factor == 1
+    )
 
 
 def parse_triple_record(line: str) -> dict:
+    import json
+
     rec = json.loads(line)
     if rec.get("record") != "triple":
         raise ValueError(f"not a triple record: {line!r}")
@@ -67,6 +61,9 @@ def parse_triple_record(line: str) -> dict:
 
 
 def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
+    if max_x2 < 1:
+        raise UsageError("max_x2 must be >= 1")
+
     from .diophantine import PythTriple, primitive_triples_up_to
 
     rows = []
@@ -79,7 +76,7 @@ def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
     for t, g, d in rows:
         rec = triple_record(t, g.p, g.q, d)
         if fmt == "jsonl":
-            print(json.dumps(rec), file=out)
+            print(_jsonl(rec), file=out)
         else:
             line = f"({rec['x0']}, {rec['x1']}, {rec['x2']})  p={g.p} q={g.q}"
             if d != 1:
@@ -102,6 +99,8 @@ def footer_record(bound: int, count: int, elapsed: float) -> dict:
 
 
 def parse_search_record(line: str) -> dict:
+    import json
+
     rec = json.loads(line)
     if rec.get("record") not in ("solution", "footer"):
         raise ValueError(f"not a search record: {line!r}")
@@ -111,6 +110,7 @@ def parse_search_record(line: str) -> dict:
 def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
     from .certificate import search
 
+    cache_path = cache_path or os.environ.get("DESCENTE_CACHE") or None
     start = time.monotonic()
     try:
         found = search(bound, cache_path)
@@ -121,8 +121,8 @@ def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
     footer = footer_record(bound, len(found), elapsed)
     if fmt == "jsonl":
         for c in found:
-            print(json.dumps(solution_record(c)), file=out)
-        print(json.dumps(footer), file=out)
+            print(_jsonl(solution_record(c)), file=out)
+        print(_jsonl(footer), file=out)
     else:
         for x0, x1, x2, x3 in found:
             print(f"counterexample: ({x0}, {x1}, {x2}, {x3})", file=out)
@@ -211,6 +211,9 @@ def instances() -> dict[str, _Instance]:
 
 
 def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
+    if any(v < 0 for v in values):
+        raise UsageError("start values must be naturals")
+
     from .descent_engine import run_descent
 
     entry = instances().get(name)
@@ -226,15 +229,8 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
     if name in ("fermat", "walsh") and inst.predicate(start):
         x0, x1, x2, x3 = values
         if fmt == "jsonl":
-            rec = {
-                "record": "guard-rejection",
-                "instance": name,
-                "x0": x0,
-                "x1": x1,
-                "x2": x2,
-                "x3": x3,
-            }
-            print(json.dumps(rec), file=out)
+            rec = dict(record="guard-rejection", instance=name, x0=x0, x1=x1, x2=x2, x3=x3)
+            print(_jsonl(rec), file=out)
             return EXIT_OK
         print(
             f"guard rejection: ({x0}, {x1}, {x2}, {x3}) is not a "
@@ -264,6 +260,9 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
 
 
 def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
+    if bound < 1:
+        raise UsageError("bound must be >= 1")
+
     registry = instances()
     factory = registry[name].checks.get(schema) if name in registry else None
     if factory is None:
@@ -281,6 +280,9 @@ def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
 
 
 def cmd_decompose(kind: str, values: list[int], out) -> int:
+    if any(v < 0 for v in values):
+        raise UsageError("values must be naturals")
+
     from .core_arith import common_prime_witness
     from .diophantine import (
         PythTriple,
@@ -289,7 +291,7 @@ def cmd_decompose(kind: str, values: list[int], out) -> int:
         frenicle_xxxviii,
     )
 
-    # argparse's choices have already rejected an unknown kind.
+    # parse's choices have already rejected an unknown kind.
     arity = {"triple": 3, "two-square": 3, "frenicle": 4}
     if len(values) != arity[kind]:
         print(f"decompose {kind} takes {arity[kind]} values", file=sys.stderr)
@@ -320,72 +322,123 @@ def cmd_decompose(kind: str, values: list[int], out) -> int:
 # entry point
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="descente", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()
+FORMAT = {"--format": (("text", "jsonl"), "text", "text or jsonl (default: text)")}
 
-    p = sub.add_parser("triples", parents=[], help="enumerate Pythagorean triples")
-    p.add_argument("max_x2", type=int)
-    p.add_argument("--primitive-only", action="store_true")
-    p.add_argument("--format", choices=("text", "jsonl"), default="text")
+# Each command: the function that runs it, which takes its positionals and
+# then its options in this order, and then out; its help line; its
+# positionals as (name, type or choices), where list takes every remaining
+# value as an int; and its options as name: (type or choices, default, help
+# line), where bool makes a flag.
+COMMANDS = {
+    "triples": (cmd_triples, "enumerate Pythagorean triples", [("max_x2", int)],
+                {"--primitive-only": (bool, False, "primitive triples only"), **FORMAT}),
+    "search": (cmd_search, "exhaustive square-area counterexample search", [],
+               {"--bound": (int, REQUIRED, "search every x2 <= BOUND"), **FORMAT,
+                "--cache": (str, None, "resume file (default: $DESCENTE_CACHE)")}),
+    "descent": (cmd_descent, "run and print one descent trace",
+                [("instance", str), ("values", list)], FORMAT),
+    "check": (cmd_check, "bounded schema-obligation check",
+              [("schema", ("id", "rd", "idprime")), ("instance", str), ("bound", int)], FORMAT),
+    "decompose": (cmd_decompose, "triple / two-square / frenicle decompositions",
+                  [("kind", ("triple", "two-square", "frenicle")), ("values", list)], {}),
+}
 
-    p = sub.add_parser("search", help="exhaustive square-area counterexample search")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p.add_argument("--cache", default=None)
 
-    p = sub.add_parser("descent", help="run and print one descent trace")
-    p.add_argument("instance")
-    p.add_argument("values", type=int, nargs="*")
-    p.add_argument("--format", choices=("text", "jsonl"), default="text")
+def _metavar(name: str, kind) -> str:
+    if isinstance(kind, tuple):
+        return "{" + ",".join(kind) + "}"
+    return f"[{name} ...]" if kind is list else name.lstrip("-").upper() if name[0] == "-" else name
 
-    p = sub.add_parser("check", help="bounded schema-obligation check")
-    p.add_argument("schema", choices=("id", "rd", "idprime"))
-    p.add_argument("instance")
-    p.add_argument("bound", type=int)
-    p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
-    p = sub.add_parser("decompose", help="triple / two-square / frenicle decompositions")
-    p.add_argument("kind", choices=("triple", "two-square", "frenicle"))
-    p.add_argument("values", type=int, nargs="*")
+def _option(name: str, spec: tuple) -> str:
+    kind, default, _ = spec
+    word = name if kind is bool else f"{name} {_metavar(name, kind)}"
+    return word if default is REQUIRED else f"[{word}]"
 
-    return parser
+
+def usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: descente [-h] {_metavar('command', tuple(COMMANDS))} ..."
+    _, _, positionals, options = COMMANDS[command]
+    words = [_option(*o) for o in options.items()] + [_metavar(*p) for p in positionals]
+    return " ".join([f"usage: descente {command} [-h]", *words])
+
+
+def help_text(command: str | None) -> str:
+    if command is None:
+        about, rows = __doc__.splitlines()[0], [(name, c[1]) for name, c in COMMANDS.items()]
+    else:
+        _, about, _, options = COMMANDS[command]
+        rows = [(_option(*o), o[1][2]) for o in options.items()]
+    rows = [("-h, --help", "show this help and exit"), *rows]
+    return "\n".join([usage(command), "", about, ""] + [f"  {a:<25} {b}" for a, b in rows])
+
+
+def _convert(name: str, kind, value: str):
+    if isinstance(kind, tuple) and value not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    try:
+        return value if isinstance(kind, tuple) else kind(value)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
+
+
+def parse(argv: list[str]) -> list | None:
+    """The arguments of argv's command in COMMANDS order, or None if argv
+    asks for help.  An option's value follows it as `--opt value` or
+    `--opt=value`; an unknown option makes it and all after it unrecognized."""
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    if "-h" in argv or "--help" in argv:
+        return None
+    _, _, positionals, options = COMMANDS[_convert("command", tuple(COMMANDS), argv[0])]
+    args = {name: REQUIRED for name, _ in positionals} | {o: s[1] for o, s in options.items()}
+    words, values, unknown = iter(argv[1:]), [], []
+    for arg in words:
+        name, eq, value = arg.partition("=")
+        kind = options[name][0] if name in options else None
+        if not arg.startswith("-") or arg == "-" or arg[1:].isdigit():  # -5 is a value
+            values.append(arg)
+        elif kind is bool and not eq:
+            args[name] = True
+        elif kind in (None, bool):
+            unknown = [arg, *words]
+        else:
+            value = value if eq else next(words, None)
+            if value is None:
+                raise UsageError(f"argument {name}: expected one argument")
+            args[name] = _convert(name, kind, value)
+    for name, kind in positionals:
+        if kind is list:
+            args[name], values = [_convert(name, int, v) for v in values], []
+        elif values:
+            args[name] = _convert(name, kind, values.pop(0))
+    missing = [name for name, value in args.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if values or unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(values + unknown)}")
+    return list(args.values())
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-
-    try:
-        if args.command == "triples":
-            if args.max_x2 < 1:
-                parser.error("max_x2 must be >= 1")
-            return cmd_triples(args.max_x2, args.primitive_only, args.format, out)
-        if args.command == "search":
-            cache = args.cache or os.environ.get("DESCENTE_CACHE") or None
-            return cmd_search(args.bound, args.format, cache, out)
-        if args.command == "descent":
-            if any(v < 0 for v in args.values):
-                parser.error("start values must be naturals")
-            return cmd_descent(args.instance, args.values, args.format, out)
-        if args.command == "check":
-            if args.bound < 1:
-                parser.error("bound must be >= 1")
-            return cmd_check(args.schema, args.instance, args.bound, args.format, out)
-        if args.command == "decompose":
-            if any(v < 0 for v in args.values):
-                parser.error("values must be naturals")
-            return cmd_decompose(args.kind, args.values, out)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args = parse(argv)
+        if args is None:
+            print(help_text(command), file=out)
+            return EXIT_OK
+        return COMMANDS[command][0](*args, out)
+    except UsageError as exc:
+        print(usage(command), f"descente: error: {exc}", sep="\n", file=sys.stderr)
+        return EXIT_USAGE
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ owned by this module (pair_encode / pair_decode).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterator
@@ -149,6 +148,8 @@ class Report(namedtuple("Report", "schema instance bound failures")):
         return not self.failures
 
     def to_jsonl(self) -> list[str]:
+        import json  # only JSONL output loads json
+
         lines = [
             json.dumps(
                 {
@@ -179,6 +180,8 @@ class Report(namedtuple("Report", "schema instance bound failures")):
 
     @classmethod
     def from_jsonl(cls, lines: list[str]) -> "Report":
+        import json
+
         failures = []
         summary = None
         for line in lines:
@@ -250,6 +253,8 @@ class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
         return tuple.__new__(cls, (instance, entries, outcome))
 
     def to_jsonl(self) -> list[str]:
+        import json  # only JSONL output loads json
+
         lines = [
             json.dumps(
                 {
@@ -276,6 +281,8 @@ class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
 
     @classmethod
     def from_jsonl(cls, lines: list[str]) -> "DescentTrace":
+        import json
+
         entries = []
         summary = None
         for line in lines:
@@ -493,21 +500,24 @@ def vii31_instance() -> DescentInstance:
     bound; the divisor-walk step is still wired in for completeness.
     """
 
-    # Imported here, so that the gcd and pentagon descents do not load it.
-    from .core_arith import is_prime, proper_divisor_step
-
     def predicate(x: int) -> bool:
         """Constant true: 0 and 1 are outside the claim, and the least
         divisor above 1 of any x > 1 is prime, so no x can fail."""
         return True
 
-    return DescentInstance(
-        "vii31",
-        predicate,
-        weight=lambda x: x,
-        step=proper_divisor_step,
-        describe=lambda x: f"{x}" + (" (prime)" if is_prime(x) else ""),
-    )
+    # core_arith is imported in the callables that use it, which no check
+    # calls, so that `check id|rd vii31` does not load it.
+    def step(x: int) -> int | None:
+        from .core_arith import proper_divisor_step
+
+        return proper_divisor_step(x)
+
+    def describe(x: int) -> str:
+        from .core_arith import is_prime
+
+        return f"{x}" + (" (prime)" if is_prime(x) else "")
+
+    return DescentInstance("vii31", predicate, weight=lambda x: x, step=step, describe=describe)
 
 
 def vii31_trace_instance() -> DescentInstance:
@@ -556,12 +566,15 @@ def vii31_trace_instance() -> DescentInstance:
 def vii31_rd_instance() -> ReductionDescentInstance:
     """VII.31 in reduction-descent form: primes (and 0, 1) are the base class."""
 
-    from .core_arith import is_prime
+    def base(x: int) -> bool:
+        from .core_arith import is_prime
+
+        return x <= 1 or is_prime(x)
 
     inst = vii31_instance()
     return ReductionDescentInstance(
         "vii31-rd",
-        base=lambda x: x <= 1 or is_prime(x),
+        base=base,
         predicate=inst.predicate,
         weight=inst.weight,
         step=inst.step,

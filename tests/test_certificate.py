@@ -128,7 +128,8 @@ def _assert_loads_none_of(argv, banned):
 # No command below may load these: the record classes are tuples, and only
 # the fermat and walsh instances import descente.fermat.
 HEAVY = ("dataclasses", "inspect", "descente.fermat", "descente.certificate")
-# descent and check run descent_engine, and only the vii31 walk core_arith.
+# descent and check run descent_engine, and only the vii31 walk core_arith:
+# the vii31 checks never call the step, describe or base that would load it.
 ENGINE = HEAVY + ("descente.diophantine", "descente.proportions")
 NO_ARITH = ENGINE + ("descente.core_arith",)
 
@@ -145,7 +146,8 @@ NO_ARITH = ENGINE + ("descente.core_arith",)
             ("decompose two-square 1 2 3", HEAVY),
             ("decompose frenicle 4 3 5 2", HEAVY),
             ("check rd gcd 50", NO_ARITH),
-            ("check id vii31 50", ENGINE),
+            ("check id vii31 50", NO_ARITH),
+            ("check rd vii31 50", NO_ARITH),
         )
     ],
 )
@@ -172,6 +174,52 @@ CHECK_DEPS = ("descente.diophantine", "descente.proportions", "descente.core_ari
 )
 def test_command_loads_only_what_it_evaluates(argv, banned):
     _assert_loads_none_of(argv, banned)
+
+
+def test_cli_import_loads_no_argparse_and_no_json():
+    proc = _python(
+        "import sys, descente.cli\nprint([m for m in ('argparse', 'json') if m in sys.modules])",
+        "-S",
+    )
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (0, "[]\n"), err
+
+
+# Only JSONL output loads json.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "search --bound 10",
+        "triples 30",
+        "descent gcd 12 9",
+        "descent vii31 360",
+        "descent fermat 3 4 5 1",
+        "check id vii31 50",
+        "check rd gcd 50",
+        "check id fermat 100",
+        "check idprime walsh 100",
+        "decompose triple 3 4 5",
+        "decompose two-square 1 2 3",
+        "decompose frenicle 4 3 5 2",
+    ],
+)
+def test_text_output_loads_no_json(argv):
+    _assert_loads_none_of(argv, ("json", "argparse"))
+
+
+@pytest.mark.parametrize(
+    "argv", ["search --bound 10", "triples 30", "descent gcd 12 9", "check rd gcd 50"]
+)
+def test_jsonl_output_loads_json(argv):
+    proc = _python(
+        "import io, sys\n"
+        "from descente.cli import main\n"
+        f"print(main({argv.split() + ['--format', 'jsonl']!r}, out=io.StringIO()))\n"
+        "print('json' in sys.modules, 'argparse' in sys.modules)\n",
+        "-S",
+    )
+    out, err = proc.communicate(timeout=60)
+    assert out.splitlines() == ["0", "True False"], err
 
 
 def test_huge_bound_search_runs_in_bounded_memory():

@@ -151,6 +151,14 @@ def test_search_bad_bound_or_format_exits_64(tmp_path, capsys):
     assert "argument --format: invalid choice: 'xml'" in err
 
 
+def test_search_bound_above_the_limit_exits_64(tmp_path, capsys):
+    cache = tmp_path / "cache.txt"
+    argv = ("search", "--bound", str(10**16 + 1), "--cache", str(cache))
+    assert run_cli(*argv) == (EXIT_USAGE, [])
+    assert capsys.readouterr().err == "bound must be <= 10000000000000000\n"
+    assert not cache.exists()
+
+
 def test_search_removed_options_exit_64():
     assert run_cli("search", "--bound", "300", "--workers", "2") == (EXIT_USAGE, [])
     assert run_cli("search", "--bound", "300", "--weight-mode", "walsh") == (EXIT_USAGE, [])
@@ -375,6 +383,75 @@ def test_decompose_precondition_failure_exits_65():
 def test_unknown_command_exits_64():
     code, _ = run_cli("nosuchcmd")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "",
+        "nosuchcmd",
+        "search",
+        "search --bound x",
+        "search --bound 5 --format xml",
+        "check id vii31 100 200",
+        "check id fermat 2000 --weight-mode walsh",
+        "decompose triple 12 -9 15",
+        "check xyz vii31 100",
+    ],
+)
+def test_usage_error_prints_usage_and_one_error_line(argv, capsys):
+    assert run_cli(*argv.split()) == (EXIT_USAGE, [])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: descente")
+    assert [line.startswith("descente: error: ") for line in captured.err.splitlines()] == [
+        False,
+        True,
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("decompose triple 12 -9 15", "values must be naturals"),
+        ("descent gcd -1 5", "start values must be naturals"),
+    ],
+)
+def test_negative_number_is_a_value_not_an_option(argv, error, capsys):
+    assert run_cli(*argv.split()) == (EXIT_USAGE, [])
+    assert capsys.readouterr().err.endswith(f"\ndescente: error: {error}\n")
+
+
+@pytest.mark.parametrize("command", ["", "triples", "search", "descent", "check", "decompose"])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_and_exits_0(command, flag, capsys):
+    code, lines = run_cli(*command.split(), flag)
+    assert code == EXIT_OK
+    assert lines[0].startswith(f"usage: descente {command}".rstrip() + " [-h]")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "triples 15 --format jsonl",
+        "descent vii31 360 --format jsonl",
+        "descent walsh 3 4 5 1 --format jsonl",
+        "check idprime walsh 500 --format jsonl",
+    ],
+)
+def test_option_equals_value_is_the_same_as_option_space_value(argv):
+    assert run_cli(*argv.replace(" --format jsonl", " --format=jsonl").split()) == run_cli(
+        *argv.split()
+    )
+
+
+def test_search_bound_equals_value_and_no_option_prefix():
+    code, lines = run_cli("search", "--bound=500", "--format=jsonl")
+    assert code == EXIT_OK
+    assert parse_search_record(lines[-1])["bound"] == 500
+    assert run_cli("search", "--bou", "500") == (EXIT_USAGE, [])
+    assert run_cli("triples", "5", "--primitive") == (EXIT_USAGE, [])
 
 
 def test_exit_codes_are_distinct():
