@@ -157,12 +157,11 @@ def instances() -> dict[str, _Instance]:
         check_id_prime,
         check_rd,
         gcd_instance,
-        gcd_trace_instance,
         pair_encode,
         pentagon_instance,
         vii31_instance,
         vii31_rd_instance,
-        vii31_trace_instance,
+        walk_to_base,
     )
 
     def fermat_trace(values: list[int]) -> tuple[object, int]:
@@ -189,7 +188,7 @@ def instances() -> dict[str, _Instance]:
         "pentagon": _Instance(2, lambda v: (pentagon_instance(), pair_encode(*v)), {}),
         "vii31": _Instance(
             1,
-            lambda v: (vii31_trace_instance(), v[0]),
+            lambda v: (walk_to_base(vii31_rd_instance(), "vii31"), v[0]),
             {
                 "id": lambda bound: check_id(vii31_instance(), bound),
                 "rd": lambda bound: check_rd(vii31_rd_instance(), bound),
@@ -197,7 +196,7 @@ def instances() -> dict[str, _Instance]:
         ),
         "gcd": _Instance(
             2,
-            lambda v: (gcd_trace_instance(), pair_encode(*v)),
+            lambda v: (walk_to_base(gcd_instance(), "gcd"), pair_encode(*v)),
             # The bound is over pair components, translated to the Cantor encoding.
             {"rd": lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound))},
         ),
@@ -218,11 +217,9 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
 
     entry = instances().get(name)
     if entry is None:
-        print(f"unknown instance {name!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown instance {name!r}")
     if len(values) != entry.arity:
-        print(f"instance {name!r} takes {entry.arity} start value(s)", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"instance {name!r} takes {entry.arity} start value(s)")
     inst, start = entry.trace(values)
     # A fermat or walsh descent starts only from a counterexample, which the
     # theorem rules out; it is wired anyway so a falsifying input descends.
@@ -266,8 +263,7 @@ def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
     registry = instances()
     factory = registry[name].checks.get(schema) if name in registry else None
     if factory is None:
-        print(f"no registered {schema} instance named {name!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"no registered {schema} instance named {name!r}")
     report = factory(bound)
     lines = report.to_jsonl() if fmt == "jsonl" else report.to_text()
     for line in lines:
@@ -277,6 +273,10 @@ def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
 
 # ---------------------------------------------------------------------------
 # decompositions
+
+
+# Each decompose kind and the number of values it takes.
+DECOMPOSE_ARITY = {"triple": 3, "two-square": 3, "frenicle": 4}
 
 
 def cmd_decompose(kind: str, values: list[int], out) -> int:
@@ -292,10 +292,8 @@ def cmd_decompose(kind: str, values: list[int], out) -> int:
     )
 
     # parse's choices have already rejected an unknown kind.
-    arity = {"triple": 3, "two-square": 3, "frenicle": 4}
-    if len(values) != arity[kind]:
-        print(f"decompose {kind} takes {arity[kind]} values", file=sys.stderr)
-        return EXIT_USAGE
+    if len(values) != DECOMPOSE_ARITY[kind]:
+        raise UsageError(f"decompose {kind} takes {DECOMPOSE_ARITY[kind]} values")
     try:
         if kind == "triple":
             t = PythTriple(values[0], values[1], values[2])
@@ -341,7 +339,7 @@ COMMANDS = {
     "check": (cmd_check, "bounded schema-obligation check",
               [("schema", ("id", "rd", "idprime")), ("instance", str), ("bound", int)], FORMAT),
     "decompose": (cmd_decompose, "triple / two-square / frenicle decompositions",
-                  [("kind", ("triple", "two-square", "frenicle")), ("values", list)], {}),
+                  [("kind", tuple(DECOMPOSE_ARITY)), ("values", list)], {}),
 }
 
 

@@ -493,93 +493,64 @@ def pentagon_instance() -> DescentInstance:
     return DescentInstance("pentagon", predicate, weight, step, describe)
 
 
-def vii31_instance() -> DescentInstance:
-    """Every number other than 1 has a prime divisor, as an indefinite descent.
+def _has_prime_divisor(x: int) -> bool:
+    """Constant true: 0 and 1 are outside the claim, and the least divisor
+    above 1 of any x > 1 is prime, so no x can fail."""
+    return True
 
-    The predicate holds everywhere, so the obligations are vacuous below any
-    bound; the divisor-walk step is still wired in for completeness.
+
+def vii31_rd_instance() -> ReductionDescentInstance:
+    """VII.31 in reduction-descent form: primes (and 0, 1) are the base
+    class, and a step divides out the largest prime factor, so the walk
+    from x lands on the least prime of x.
+
+    It factors a value once.  A step's output gets the input's factor list
+    with the largest prime's exponent lowered, and a value is prime iff its
+    list is one prime to the first power.  The memo is closure-local, and a
+    value it does not hold is factored afresh, so the instance stays pure.
+    core_arith is imported only where a value is factored, which no check
+    does (the predicate holds everywhere), so `check id|rd vii31` does not
+    load it.
     """
-
-    def predicate(x: int) -> bool:
-        """Constant true: 0 and 1 are outside the claim, and the least
-        divisor above 1 of any x > 1 is prime, so no x can fail."""
-        return True
-
-    # core_arith is imported in the callables that use it, which no check
-    # calls, so that `check id|rd vii31` does not load it.
-    def step(x: int) -> int | None:
-        from .core_arith import proper_divisor_step
-
-        return proper_divisor_step(x)
-
-    def describe(x: int) -> str:
-        from .core_arith import is_prime
-
-        return f"{x}" + (" (prime)" if is_prime(x) else "")
-
-    return DescentInstance("vii31", predicate, weight=lambda x: x, step=step, describe=describe)
-
-
-def vii31_trace_instance() -> DescentInstance:
-    """The narrative form of the VII.31 walk: descend through proper divisors
-    until a prime remains.
-
-    It factors a walk's start once.  Each step divides out the largest
-    prime, so the factor list of its output is the input's with that
-    prime's exponent lowered, and a value is prime iff its list is one
-    prime to the first power.  The memo is closure-local, and a value it
-    does not hold is factored afresh, so the instance stays pure.  Its
-    base, step and describe agree with vii31_rd_instance's.
-    """
-    from .core_arith import _prime_factors, check_natural
-
     memo: dict[int, list[tuple[int, int]]] = {}
 
     def factors(x: int) -> list[tuple[int, int]]:
+        from .core_arith import _prime_factors, check_natural
+
+        check_natural(x)
         if x not in memo:
             memo[x] = _prime_factors(x)
         return memo[x]
 
     def prime(x: int) -> bool:
-        check_natural(x)
-        return x > 1 and factors(x) == [(x, 1)]
+        return factors(x) == [(x, 1)]  # 0 and 1 have no factors
 
     def step(x: int) -> int | None:
-        check_natural(x)
-        if x <= 1:
+        if prime(x) or x <= 1:  # prime(x) first: it rejects a non-natural x
             return None
         *rest, (p, e) = factors(x)
-        if p == x:
-            return None
         memo[x // p] = rest + [(p, e - 1)] if e > 1 else rest
         return x // p
 
-    return DescentInstance(
-        "vii31",
-        lambda x: x <= 1 or prime(x),
-        lambda x: x,
-        step,
-        lambda x: f"{x}" + (" (prime)" if prime(x) else ""),
-    )
-
-
-def vii31_rd_instance() -> ReductionDescentInstance:
-    """VII.31 in reduction-descent form: primes (and 0, 1) are the base class."""
-
-    def base(x: int) -> bool:
-        from .core_arith import is_prime
-
-        return x <= 1 or is_prime(x)
-
-    inst = vii31_instance()
     return ReductionDescentInstance(
         "vii31-rd",
-        base=base,
-        predicate=inst.predicate,
-        weight=inst.weight,
-        step=inst.step,
-        describe=inst.describe,
+        base=lambda x: x <= 1 or prime(x),
+        predicate=_has_prime_divisor,
+        weight=lambda x: x,
+        step=step,
+        describe=lambda x: f"{x}" + (" (prime)" if prime(x) else ""),
     )
+
+
+def vii31_instance() -> DescentInstance:
+    """Every number other than 1 has a prime divisor, as an indefinite
+    descent: vii31_rd_instance seen without its base.
+
+    The predicate holds everywhere, so the obligations are vacuous below any
+    bound; the divisor-walk step is still wired in for completeness.
+    """
+    rd = vii31_rd_instance()
+    return DescentInstance("vii31", _has_prime_divisor, rd.weight, rd.step, rd.describe)
 
 
 def _euclid_terminates(v: int) -> bool:
@@ -610,10 +581,10 @@ def gcd_instance() -> ReductionDescentInstance:
     )
 
 
-def gcd_trace_instance() -> DescentInstance:
-    """The narrative form of the remainder descent: walk until the second
-    component is 0.  The walk calls the RD step wherever the base fails,
+def walk_to_base(inst: ReductionDescentInstance, name: str) -> DescentInstance:
+    """The walk of a reduction descent down to its base, named name: the
+    predicate is the base, and the weight, step and describe are the
+    instance's.  The walk calls the RD step wherever the base fails,
     whatever the predicate says there, so that step must be defined off the
     base."""
-    rd = gcd_instance()
-    return DescentInstance("gcd", rd.base, rd.weight, rd.step, rd.describe)
+    return DescentInstance(name, inst.base, inst.weight, inst.step, inst.describe)

@@ -397,6 +397,10 @@ def test_unknown_command_exits_64():
         "check id fermat 2000 --weight-mode walsh",
         "decompose triple 12 -9 15",
         "check xyz vii31 100",
+        "descent unknown 3",
+        "descent pentagon 8",
+        "check rd walsh 100",
+        "decompose triple 3 4",
     ],
 )
 def test_usage_error_prints_usage_and_one_error_line(argv, capsys):

@@ -20,7 +20,6 @@ from descente.descent_engine import (
     check_id_prime,
     check_rd,
     gcd_instance,
-    gcd_trace_instance,
     pair_decode,
     pair_encode,
     pentagon_instance,
@@ -32,7 +31,7 @@ from descente.descent_engine import (
     tagged,
     vii31_instance,
     vii31_rd_instance,
-    vii31_trace_instance,
+    walk_to_base,
     _step_obligations,
 )
 from descente.errors import DomainError
@@ -414,18 +413,22 @@ def test_tagged_candidates_lose_no_failure(tag, k, r, bound):
 
 def test_check_rd_vii31_makes_no_is_prime_call(monkeypatch):
     """The vii31 predicate always holds, so `check rd vii31` never reads the
-    base, a primality test."""
+    base, which factors its value."""
     import io
 
     from descente import core_arith
     from descente.cli import main
 
-    calls = []
-    is_prime = core_arith.is_prime
-    monkeypatch.setattr(core_arith, "is_prime", lambda x: calls.append(x) or is_prime(x))
+    calls = {"is_prime": [], "_prime_factors": []}
+    for name, seen in calls.items():
+        f = getattr(core_arith, name)
+        monkeypatch.setattr(core_arith, name, lambda x, f=f, seen=seen: seen.append(x) or f(x))
     assert main(["check", "rd", "vii31", "5000"], out=io.StringIO()) == 0
-    assert calls == []
-    assert vii31_rd_instance().base(97) and calls == [97]  # the spy does see the base
+    assert calls == {"is_prime": [], "_prime_factors": []}
+    # The spies do see the base, which factors 97 and finds it prime by
+    # trial division.
+    assert vii31_rd_instance().base(97)
+    assert calls == {"is_prime": [], "_prime_factors": [97]}
 
 
 def test_id_prime_single_family_agrees_with_id_randomized():
@@ -489,14 +492,33 @@ def test_run_descent_pentagon_8_5():
     assert [e.weight for e in trace.entries] == [8, 3, 1]
 
 
+def vii31_walk() -> DescentInstance:
+    """The walk that `descent vii31` runs."""
+    return walk_to_base(vii31_rd_instance(), "vii31")
+
+
+def vii31_reference() -> DescentInstance:
+    """The VII.31 walk built from core_arith alone: it tests primality and
+    refactors at every step, and keeps no memo."""
+    from descente.core_arith import is_prime, proper_divisor_step
+
+    return DescentInstance(
+        "vii31",
+        lambda x: x <= 1 or is_prime(x),
+        lambda x: x,
+        proper_divisor_step,
+        lambda x: f"{x}" + (" (prime)" if is_prime(x) else ""),
+    )
+
+
 def test_run_descent_start_satisfies_predicate():
-    trace = run_descent(vii31_trace_instance(), 13, 100)
+    trace = run_descent(vii31_walk(), 13, 100)
     assert len(trace.entries) == 1
     assert trace.outcome == "predicate-holds"
 
 
 def test_run_descent_vii31_360():
-    trace = run_descent(vii31_trace_instance(), 360, 100)
+    trace = run_descent(vii31_walk(), 360, 100)
     assert [e.value for e in trace.entries] == [360, 72, 24, 8, 4, 2]
     assert trace.outcome == "predicate-holds"
 
@@ -506,13 +528,11 @@ def test_run_descent_vii31_360():
 )
 def test_vii31_walk_factors_its_start_once(start, monkeypatch):
     """The walk factors its start and nothing else, and tests no primality
-    outside that factorization; its trace is the one of the RD instance's
-    base, step and describe, which refactor at every step."""
+    outside that factorization; its trace is the one of the reference walk,
+    which refactors at every step."""
     from descente import core_arith
 
-    rd = vii31_rd_instance()
-    walk = DescentInstance("vii31", rd.base, rd.weight, rd.step, rd.describe)
-    reference = run_descent(walk, start, 1000)
+    reference = run_descent(vii31_reference(), start, 1000)
     calls = {"factors": 0, "is_prime outside": 0}
     depth = [0]
     prime_factors, is_prime = core_arith._prime_factors, core_arith.is_prime
@@ -531,28 +551,30 @@ def test_vii31_walk_factors_its_start_once(start, monkeypatch):
 
     monkeypatch.setattr(core_arith, "_prime_factors", spy_factors)
     monkeypatch.setattr(core_arith, "is_prime", spy_is_prime)
-    assert run_descent(vii31_trace_instance(), start, 1000) == reference
+    assert run_descent(vii31_walk(), start, 1000) == reference
     assert calls == {"factors": 1, "is_prime outside": 0}
 
 
 def test_vii31_walk_is_pure_off_its_memo():
-    """Called in any order, on values no walk reached, the memoized walk
-    agrees with the RD instance at every value."""
-    from descente.core_arith import proper_divisor_step
+    """Called in any order, on values no walk reached, the memoized walk,
+    the ID instance and the CLI's walk agree with the reference at every
+    value."""
+    from descente.cli import instances
 
-    rd, inst = vii31_rd_instance(), vii31_trace_instance()
+    ref = vii31_reference()
+    walk, inst, (cli_walk, _) = vii31_walk(), vii31_instance(), instances()["vii31"].trace([0])
     values = list(range(400)) + [2**40, 2**39 * 3, 7**5]
     for v in values[::-1] + values:
-        assert (inst.predicate(v), inst.step(v), inst.describe(v)) == (
-            rd.base(v),
-            proper_divisor_step(v),
-            rd.describe(v),
-        )
-    for v in (-1, -12):
-        with pytest.raises(DomainError):
-            inst.step(v)
-        with pytest.raises(DomainError):
-            inst.describe(v)
+        expected = (ref.predicate(v), ref.step(v), ref.describe(v))
+        assert (walk.predicate(v), walk.step(v), walk.describe(v)) == expected
+        assert (cli_walk.predicate(v), cli_walk.step(v), cli_walk.describe(v)) == expected
+        assert (inst.predicate(v), inst.step(v), inst.describe(v)) == (True, *expected[1:])
+    for i in (walk, inst, cli_walk):
+        for v in (-1, -12):
+            with pytest.raises(DomainError):
+                i.step(v)
+            with pytest.raises(DomainError):
+                i.describe(v)
 
 
 def test_run_descent_bound_exceeded():
@@ -565,7 +587,7 @@ def test_run_descent_bound_exceeded():
 
 
 def test_run_descent_gcd():
-    trace = run_descent(gcd_trace_instance(), pair_encode(12, 9), 100)
+    trace = run_descent(walk_to_base(gcd_instance(), "gcd"), pair_encode(12, 9), 100)
     assert [pair_decode(e.value) for e in trace.entries] == [(12, 9), (9, 3), (3, 0)]
     assert trace.outcome == "predicate-holds"
 
@@ -670,7 +692,7 @@ def test_report_text_rendering():
 
 
 def test_trace_jsonl_round_trip():
-    trace = run_descent(vii31_trace_instance(), 360, 100)
+    trace = run_descent(vii31_walk(), 360, 100)
     lines = trace.to_jsonl()
     assert DescentTrace.from_jsonl(lines) == trace
     assert list(json.loads(lines[0]).keys()) == ["record", "instance", "value", "weight", "label"]
