@@ -14,7 +14,6 @@ record type round-trips through its parser.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 
@@ -110,7 +109,6 @@ def parse_search_record(line: str) -> dict:
 def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
     from .certificate import search
 
-    cache_path = cache_path or os.environ.get("DESCENTE_CACHE") or None
     start = time.monotonic()
     try:
         found = search(bound, cache_path)
@@ -333,7 +331,7 @@ COMMANDS = {
                 {"--primitive-only": (bool, False, "primitive triples only"), **FORMAT}),
     "search": (cmd_search, "exhaustive square-area counterexample search", [],
                {"--bound": (int, REQUIRED, "search every x2 <= BOUND"), **FORMAT,
-                "--cache": (str, None, "resume file (default: $DESCENTE_CACHE)")}),
+                "--cache": (str, None, "resume file")}),
     "descent": (cmd_descent, "run and print one descent trace",
                 [("instance", str), ("values", list)], FORMAT),
     "check": (cmd_check, "bounded schema-obligation check",

@@ -100,20 +100,6 @@ def least_prime_divisor(x: int) -> int:
     return _prime_factors(x)[0][0]
 
 
-def proper_divisor_step(x: int) -> int | None:
-    """One step of the VII.31 divisor walk: x over its largest prime factor.
-
-    Dividing out the largest prime factor at each step makes the walk land
-    on the least prime.  None for primes and for x <= 1 (nothing to descend
-    to).
-    """
-    check_natural(x)
-    if x <= 1:
-        return None
-    largest = _prime_factors(x)[-1][0]
-    return None if largest == x else x // largest
-
-
 def _prime_factors(x: int) -> list[tuple[int, int]]:
     """The (prime, exponent) pairs of x >= 1, primes increasing.
 

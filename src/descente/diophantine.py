@@ -7,14 +7,15 @@ independent oracles.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from .core_arith import check_natural, common_prime_witness, coprime
 from .errors import DomainError, NonPrimitiveError
 
 # proportions is imported inside the three functions that split squares, so
-# that `decompose triple` and `triples` do not load it.
+# that `decompose triple` and `triples` do not load it, and certificate, the
+# home of generator_pairs, inside primitive_triples_up_to, so that
+# `decompose` does not load it.
 
 
 class PythTriple(namedtuple("PythTriple", "x0 x1 x2")):
@@ -138,24 +139,11 @@ def decompose_primitive_two_square(x0: int, x1: int, x2: int) -> tuple[int, int]
     return m, k
 
 
-def generator_pairs(max_x2: int):
-    """Yield every coprime opposite-parity pair (p, q) with p > q >= 1 and
-    p^2 + q^2 <= max_x2, in increasing p, then increasing q.
-
-    These are exactly the generators of the primitive triples with positive
-    legs and hypotenuse at most max_x2.
-    """
-    p = 2
-    while p * p + 1 <= max_x2:
-        for q in range(1 if p % 2 == 0 else 2, min(p, math.isqrt(max_x2 - p * p) + 1), 2):
-            if math.gcd(p, q) == 1:
-                yield p, q
-        p += 1
-
-
 def primitive_triples_up_to(max_x2: int):
     """Every primitive PythTriple with positive legs and x2 <= max_x2, with
     its Generators, ordered by (x2, smaller leg)."""
+    from .certificate import generator_pairs
+
     check_natural(max_x2)
     found = []
     for p, q in generator_pairs(max_x2):

@@ -4,8 +4,8 @@ excludes x0*x1 = 2*x3^2, since the area x0*x1/2 would be x3^2.
 
 The claims of the descent are runnable code even though their shared
 precondition (a genuine counterexample) is unsatisfiable: that emptiness is
-the theorem, and the Claim I search of the certificate module certifies it
-at desk scale.
+the theorem, and the Claims I and II search of the certificate module
+certifies it at desk scale.
 Each claim's constructive core is independently satisfiable and tested
 through the proportions and diophantine modules.
 """

@@ -32,6 +32,28 @@ def brute_divisors(y: int, cap: int) -> tuple[int, ...]:
     return tuple(x for x in range(1, min(y, cap) + 1) if y % x == 0)
 
 
+def vii31_step(x: int):
+    """One step of Euclid's VII.31 walk by trial division: x over its largest
+    prime factor, or None where x <= 1 or x is prime."""
+    n, d, largest = x, 2, None
+    while d * d <= n:
+        while n % d == 0:
+            n, largest = n // d, d
+        d += 1
+    if n > 1:
+        largest = n  # the cofactor left is a prime above every d tried
+    return None if x <= 1 or largest == x else x // largest
+
+
+def vii31_walk(start: int) -> list[int]:
+    """The values of the VII.31 walk from start, ending where vii31_step
+    gives None."""
+    walk = [start]
+    while (nxt := vii31_step(walk[-1])) is not None:
+        walk.append(nxt)
+    return walk
+
+
 def brute_triples(max_x2: int, include_zero_legs: bool = False):
     """All (x0, x1, x2) with x0^2 + x1^2 = x2^2, x2 <= max_x2, legs >= lo."""
     lo = 0 if include_zero_legs else 1
@@ -115,18 +137,26 @@ def brute_multiples_scan(p: int, q: int, bound_x2: int):
 def square_generator_pairs(bound_x2: int) -> list[tuple[int, int]]:
     """The generator pairs p > q >= 1, coprime and of opposite parity, with
     p^2 + q^2 <= bound_x2 and both p and q perfect squares, in increasing
-    (p, q): every p is walked, and only the square ones are searched for a q."""
+    (p, q): every p is walked, and only the square ones are searched for a
+    square q."""
     out = []
     p = 2
     while p * p + 1 <= bound_x2:
         if is_perfect_square(p):
-            for q in range(1, p):
+            for f in range(1, math.isqrt(p - 1) + 1):
+                q = f * f
                 if p * p + q * q > bound_x2:
                     break
-                if is_perfect_square(q) and (p + q) % 2 and math.gcd(p, q) == 1:
+                if (p + q) % 2 and math.gcd(p, q) == 1:
                     out.append((p, q))
         p += 1
     return out
+
+
+def claim_ii_pairs(bound_x2: int) -> list[tuple[int, int]]:
+    """The square generator pairs (p, q) whose sum p + q is a square too, in
+    increasing (p, q)."""
+    return [(p, q) for p, q in square_generator_pairs(bound_x2) if is_perfect_square(p + q)]
 
 
 def naive_exhaustive_search(bound_x2: int, allow_zero: bool = False):

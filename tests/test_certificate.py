@@ -1,6 +1,6 @@
-"""The Claim I search behind `search`: the pairs it gives the exact test,
-the lemma that lets it skip every other generator pair, the coverage of the
-one generator enumeration, and the modules and memory a search needs."""
+"""The Claims I and II search behind `search`: the pairs it gives the exact
+test, the lemmas that let it skip every other generator pair, the coverage of
+the one generator enumeration, and the modules and memory a search needs."""
 
 import math
 import os
@@ -13,16 +13,16 @@ from pathlib import Path
 import pytest
 
 from descente import certificate
-from descente.diophantine import generator_pairs
+from descente.certificate import generator_pairs
 
-from .oracles import is_perfect_square, primitive_triple_count, square_generator_pairs
+from .oracles import claim_ii_pairs, is_perfect_square, primitive_triple_count
 
 SRC = str(Path(__file__).parents[1] / "src")
 
 
 def _tested(bound):
     """The pairs (p, q) that certificate.search(bound) hands to the exact
-    test, in order, after checking that the search finds nothing."""
+    test, sorted, after checking that the search finds nothing."""
     tested, scan = [], certificate.scan_generator_block
 
     def spy(p, q, bound_x2):
@@ -32,46 +32,50 @@ def _tested(bound):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certificate, "scan_generator_block", spy)
         assert certificate.search(bound) == []
-    return tested
+    return sorted(tested)
 
 
-def _square_pairs(bound):
-    """The pairs of generator_pairs(bound) with square p and q."""
+def _claim_ii_pairs(bound):
+    """The pairs of generator_pairs(bound) with square p, q and p + q."""
     return [
-        (p, q) for p, q in generator_pairs(bound) if is_perfect_square(p) and is_perfect_square(q)
+        (p, q)
+        for p, q in generator_pairs(bound)
+        if is_perfect_square(p) and is_perfect_square(q) and is_perfect_square(p + q)
     ]
 
 
 def test_coverage_equals_generator_pairs_at_every_bound_to_3000():
-    # The generator pairs with square p and q, the only ones Claim I admits.
-    squares = _square_pairs(3000)
+    # The generator pairs with square p, q and p + q, the only ones that
+    # Claims I and II admit.
+    admitted = _claim_ii_pairs(3000)
     for bound in range(1, 3001):
-        expected = [(p, q) for p, q in squares if p * p + q * q <= bound]
-        assert _tested(bound) == expected == square_generator_pairs(bound), bound
+        expected = [(p, q) for p, q in admitted if p * p + q * q <= bound]
+        assert _tested(bound) == expected == claim_ii_pairs(bound), bound
 
 
 @pytest.mark.parametrize("bound", [123_457, 10**6])
 def test_coverage_equals_generator_pairs(bound):
-    assert _tested(bound) == _square_pairs(bound) == square_generator_pairs(bound)
+    assert _tested(bound) == _claim_ii_pairs(bound) == claim_ii_pairs(bound)
 
 
 def test_tested_pairs_change_exactly_at_each_pair_bound():
-    pairs = square_generator_pairs(10**6)
+    pairs = claim_ii_pairs(10**8)
     for p, q in pairs:
         for bound in (p * p + q * q - 1, p * p + q * q):
             assert _tested(bound) == [t for t in pairs if t[0] ** 2 + t[1] ** 2 <= bound]
 
 
-@pytest.mark.parametrize("bound, count", [(10**6, 187), (10**8, 1868)])
-def test_tested_pairs_are_the_square_generator_pairs(bound, count):
+@pytest.mark.parametrize("bound, count", [(10**6, 5), (10**8, 18), (10**10, 56)])
+def test_tested_pairs_are_the_claim_ii_pairs(bound, count):
     tested = _tested(bound)
-    assert tested == square_generator_pairs(bound)
+    assert tested == claim_ii_pairs(bound)
     assert len(tested) == count
 
 
 def test_generator_pairs_meet_the_claim_i_hypothesis():
     # The lemma in certificate.search: p, q, p - q and p + q are pairwise
-    # coprime for every generator pair.
+    # coprime for every generator pair.  For p = e^2 and q = f^2 that is
+    # also Claim II's: e^2 - f^2 and e^2 + f^2 are coprime.
     for p, q in generator_pairs(10**5):
         for a, b in combinations((p, q, p - q, p + q), 2):
             assert math.gcd(a, b) == 1, (p, q)
@@ -85,8 +89,7 @@ def test_coverage_at_1e7_equals_the_moebius_count():
 
 
 def _python(code, *flags):
-    env = {k: v for k, v in os.environ.items() if k != "DESCENTE_CACHE"}
-    env["PYTHONPATH"] = SRC
+    env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.Popen(
         [sys.executable, *flags, "-c", code],
         env=env,
@@ -227,13 +230,16 @@ def test_huge_bound_search_runs_in_bounded_memory():
     proc = _python(
         "import resource\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from descente.certificate import MAX_BOUND\n"
         "from descente.cli import main\n"
-        f"main(['search', '--bound', '{10**16}'])\n"
+        "raise SystemExit(main(['search', '--bound', str(MAX_BOUND)]))\n"
     )
     try:
-        proc.wait(timeout=3)
+        proc.wait(timeout=60)
     except subprocess.TimeoutExpired:
         proc.kill()
     _, err = proc.communicate(timeout=60)
-    # Still searching when killed: it did not run out of its 256 MB first.
-    assert proc.returncode == -signal.SIGKILL, err
+    # It certified MAX_BOUND, or it was still searching at the deadline: it
+    # did not run out of its 256 MB first.
+    assert proc.returncode in (0, -signal.SIGKILL), err
+    assert "MemoryError" not in err

@@ -103,14 +103,6 @@ def test_search_resume_identical_footer(tmp_path):
     assert strip_elapsed(lines1) == strip_elapsed(lines2)
 
 
-def test_search_env_cache(tmp_path, monkeypatch):
-    cache = tmp_path / "envcache.txt"
-    monkeypatch.setenv("DESCENTE_CACHE", str(cache))
-    code, _ = run_cli("search", "--bound", "100")
-    assert code == EXIT_OK
-    assert cache.exists() and cache.read_text().strip()
-
-
 def test_search_unwritable_cache_exits_1(tmp_path):
     code, _ = run_cli("search", "--bound", "100", "--cache", str(tmp_path / "no" / "c.txt"))
     assert code == EXIT_IO
@@ -118,26 +110,37 @@ def test_search_unwritable_cache_exits_1(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [b"erow 2 x done\n", b"2 1 x done\n", b"\xff\xfeerow 2 100 done\n\x80 9\n"],
-    ids=["bad-number", "old-bad-number", "not-utf8"],
+    [
+        b"upto x\n",
+        b"2 1 x done\n",
+        b"\xff\xfeupto 100000\n\x80 9\n",
+        b"erow 1000 100000 done\n",
+        b"row 1000 100000 done\n",
+        b"12 5 done\n",
+        b"upto 100000 done\n",
+    ],
+    ids=["bad-number", "old-bad-number", "not-utf8", "erow", "row", "p-q", "upto-done"],
 )
 def test_search_ignores_unparsable_cache_lines(tmp_path, content):
     cache = tmp_path / "cache.txt"
     cache.write_bytes(content)
-    code, lines = run_cli("search", "--bound", "100", "--format", "jsonl", "--cache", str(cache))
+    code, lines = run_cli("search", "--bound", "400", "--format", "jsonl", "--cache", str(cache))
     assert code == EXIT_OK
     assert parse_search_record(lines[-1])["count"] == 0
-    # No unparsable line covers a row, so e rows 2 and 3 are scanned and marked.
-    assert b"\nerow 2 100 done\nerow 3 100 done\n" in cache.read_bytes()
+    # No line is an `upto` mark, so the run searches and appends its own.
+    assert cache.read_bytes() == content + b"upto 400\n"
 
 
 def test_search_ends_cut_off_cache_line(tmp_path):
     cache = tmp_path / "cache.txt"
-    cache.write_bytes(b"1")
-    code, _ = run_cli("search", "--bound", "200", "--cache", str(cache))
-    assert code == EXIT_OK
-    # The first mark starts a line of its own instead of extending "1".
-    assert cache.read_bytes().startswith(b"1\nerow 2 200 done\n")
+    # The new mark starts a line of its own instead of extending the last
+    # one.  A cut-off mark is a digit prefix, so it reads as less than its
+    # run covered: `upto 12` of `upto 1234` covers no bound above 12.
+    for cut in (b"1", b"upto 12"):
+        cache.write_bytes(cut)
+        code, _ = run_cli("search", "--bound", "200", "--cache", str(cache))
+        assert code == EXIT_OK
+        assert cache.read_bytes() == cut + b"\nupto 200\n"
 
 
 def test_search_bad_bound_or_format_exits_64(tmp_path, capsys):
@@ -153,9 +156,9 @@ def test_search_bad_bound_or_format_exits_64(tmp_path, capsys):
 
 def test_search_bound_above_the_limit_exits_64(tmp_path, capsys):
     cache = tmp_path / "cache.txt"
-    argv = ("search", "--bound", str(10**16 + 1), "--cache", str(cache))
+    argv = ("search", "--bound", str(10**28 + 1), "--cache", str(cache))
     assert run_cli(*argv) == (EXIT_USAGE, [])
-    assert capsys.readouterr().err == "bound must be <= 10000000000000000\n"
+    assert capsys.readouterr().err == f"bound must be <= {10**28}\n"
     assert not cache.exists()
 
 
@@ -170,17 +173,19 @@ def test_search_resume_keeps_found_counterexample(tmp_path, monkeypatch):
     scan = certificate.scan_generator_block
 
     def planted(p, q, bound_x2):
-        return [(3, 4, 5, 1)] if (p, q) == (4, 1) else scan(p, q, bound_x2)
+        return [(3, 4, 5, 1)] if (p, q) == (16, 9) else scan(p, q, bound_x2)
 
     monkeypatch.setattr(certificate, "scan_generator_block", planted)
-    cache = str(tmp_path / "cache.txt")
+    cache = tmp_path / "cache.txt"
     for _ in range(2):
-        code, lines = run_cli("search", "--bound", "100", "--format", "jsonl", "--cache", cache)
+        argv = ("search", "--bound", "400", "--format", "jsonl", "--cache", str(cache))
+        code, lines = run_cli(*argv)
         assert code == EXIT_COUNTEREXAMPLE
         assert parse_search_record(lines[0]) == {
             "record": "solution", "x0": 3, "x1": 4, "x2": 5, "x3": 1,
         }
         assert parse_search_record(lines[-1])["count"] == 1
+        assert not cache.exists()  # no mark, so the next run searches again
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +230,6 @@ def test_descent_fermat_prints_guard_and_certificate_pointer():
 
 
 def test_guard_pointer_and_readme_commands_run(tmp_path, monkeypatch):
-    monkeypatch.delenv("DESCENTE_CACHE", raising=False)
     monkeypatch.chdir(tmp_path)
     _, lines = run_cli("descent", "fermat", "3", "4", "5", "1")
     pointed = re.findall(r"`([^`]*)`", lines[1])

@@ -20,10 +20,10 @@ from descente.core_arith import (
     gcd,
     is_prime,
     least_prime_divisor,
-    proper_divisor_step,
     split_valuation,
     valuation,
 )
+from descente.descent_engine import vii31_rd_instance
 from descente.errors import DomainError
 
 from .oracles import brute_divisors, brute_is_prime, sieve_is_prime
@@ -181,12 +181,14 @@ def test_least_prime_divisor():
 
 
 def test_proper_divisor_step():
-    assert proper_divisor_step(1) is None
-    assert proper_divisor_step(13) is None
-    assert proper_divisor_step(15) == 3  # divide out 5
-    assert proper_divisor_step(360) == 72  # divide out 5
+    # The VII.31 step that `descent vii31` runs divides out the largest prime.
+    step = vii31_rd_instance().step
+    assert step(1) is None
+    assert step(13) is None
+    assert step(15) == 3  # divide out 5
+    assert step(360) == 72  # divide out 5
     for x in range(2, 500):
-        u = proper_divisor_step(x)
+        u = step(x)
         if brute_is_prime(x):
             assert u is None
         else:
@@ -234,15 +236,12 @@ def test_factorize_semiprime(p, q):
     expected = ((p, 2),) if p == q else tuple((r, 1) for r in primes)
     assert factorize(p * q).factors == expected
     assert least_prime_divisor(p * q) == primes[0]
-    assert proper_divisor_step(p * q) == primes[0]
 
 
 def test_balanced_semiprime_near_1e18():
     x = 1000000007 * 1000000009
     assert factorize(x).factors == ((1000000007, 1), (1000000009, 1))
     assert least_prime_divisor(x) == 1000000007
-    assert proper_divisor_step(x) == 1000000007
-    assert proper_divisor_step(1000000009) is None
 
 
 def test_factorize_beyond_prime_limit():
@@ -252,7 +251,7 @@ def test_factorize_beyond_prime_limit():
         with pytest.raises(DomainError):
             factorize(x)
         with pytest.raises(DomainError):
-            proper_divisor_step(x)
+            vii31_rd_instance().step(x)
 
 
 def test_factorize_does_not_prove_its_primes_again(monkeypatch):

@@ -36,6 +36,8 @@ from descente.descent_engine import (
 )
 from descente.errors import DomainError
 
+from . import oracles
+
 
 # ---------------------------------------------------------------------------
 # pairing
@@ -497,18 +499,28 @@ def vii31_walk() -> DescentInstance:
     return walk_to_base(vii31_rd_instance(), "vii31")
 
 
-def vii31_reference() -> DescentInstance:
-    """The VII.31 walk built from core_arith alone: it tests primality and
-    refactors at every step, and keeps no memo."""
-    from descente.core_arith import is_prime, proper_divisor_step
+# Trial division cannot split this start in test time, so its walk is
+# pinned by hand: p*q over its largest prime q is the prime p.
+PINNED_VII31_WALKS = {1000000007 * 1000000009: [1000000007 * 1000000009, 1000000007]}
 
-    return DescentInstance(
-        "vii31",
-        lambda x: x <= 1 or is_prime(x),
-        lambda x: x,
-        proper_divisor_step,
-        lambda x: f"{x}" + (" (prime)" if is_prime(x) else ""),
+
+def vii31_reference(start: int) -> DescentTrace:
+    """The trace of the VII.31 walk from start >= 2, built from the
+    package-free trial-division walk of oracles: each value is its own
+    weight, and the last, where the walk stops, is the only prime."""
+    walk = PINNED_VII31_WALKS.get(start) or oracles.vii31_walk(start)
+    entries = tuple(
+        TraceEntry(v, v, f"{v}" + (" (prime)" if v == walk[-1] else "")) for v in walk
     )
+    return DescentTrace("vii31", entries, "predicate-holds")
+
+
+def vii31_reference_at(v: int) -> tuple:
+    """(predicate, step, describe) of the VII.31 walk at v, from the
+    package-free oracles.vii31_step."""
+    step = oracles.vii31_step(v)
+    prime = v >= 2 and step is None
+    return v <= 1 or prime, step, f"{v}" + (" (prime)" if prime else "")
 
 
 def test_run_descent_start_satisfies_predicate():
@@ -528,11 +540,11 @@ def test_run_descent_vii31_360():
 )
 def test_vii31_walk_factors_its_start_once(start, monkeypatch):
     """The walk factors its start and nothing else, and tests no primality
-    outside that factorization; its trace is the one of the reference walk,
-    which refactors at every step."""
+    outside that factorization; its trace is the one of the package-free
+    reference walk, which refactors at every step."""
     from descente import core_arith
 
-    reference = run_descent(vii31_reference(), start, 1000)
+    reference = vii31_reference(start)
     calls = {"factors": 0, "is_prime outside": 0}
     depth = [0]
     prime_factors, is_prime = core_arith._prime_factors, core_arith.is_prime
@@ -561,11 +573,10 @@ def test_vii31_walk_is_pure_off_its_memo():
     value."""
     from descente.cli import instances
 
-    ref = vii31_reference()
     walk, inst, (cli_walk, _) = vii31_walk(), vii31_instance(), instances()["vii31"].trace([0])
     values = list(range(400)) + [2**40, 2**39 * 3, 7**5]
     for v in values[::-1] + values:
-        expected = (ref.predicate(v), ref.step(v), ref.describe(v))
+        expected = vii31_reference_at(v)
         assert (walk.predicate(v), walk.step(v), walk.describe(v)) == expected
         assert (cli_walk.predicate(v), cli_walk.step(v), cli_walk.describe(v)) == expected
         assert (inst.predicate(v), inst.step(v), inst.describe(v)) == (True, *expected[1:])

@@ -3,6 +3,7 @@ descent wiring, and the exhaustive searches with their oracle."""
 
 import math
 import os
+import re
 import tempfile
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from descente import certificate, fermat
-from descente.certificate import _multiples, scan_generator_block
+from descente.certificate import _multiples, generator_pairs, scan_generator_block
 from descente.core_arith import coprime
 from descente.descent_engine import (
     check_id,
@@ -21,7 +22,7 @@ from descente.descent_engine import (
     quad_encode,
     run_descent,
 )
-from descente.diophantine import PythTriple, generator_pairs
+from descente.diophantine import PythTriple
 from descente.errors import DomainError
 from descente.fermat import (
     CandidateSolution,
@@ -468,32 +469,19 @@ def test_generator_pairs_equal_a_brute_listing_to_400():
         assert list(generator_pairs(bound)) == brute
 
 
-def _rows(bound_x2):
-    """The e rows a search at bound_x2 marks: every e >= 2 with e^4 < bound_x2."""
-    return [e for e in range(2, math.isqrt(bound_x2) + 1) if e**4 < bound_x2]
-
-
-def _marked_rows(text):
-    return [int(line.split()[1]) for line in text.splitlines() if line.endswith(" done")]
-
-
 def test_search_with_cache_resumes(tmp_path):
     cache = tmp_path / "resume.txt"
     first = exhaustive_search(200, cache_path=str(cache))
-    lines = cache.read_text().splitlines()
-    assert lines and all(
-        line.startswith("erow ") and line.endswith(" 200 done") for line in lines
-    )
-    assert _marked_rows(cache.read_text()) == _rows(200) == [2, 3]
-    # resuming skips every row and returns the same (empty) result
+    assert cache.read_text() == "upto 200\n"  # one mark per run
+    # resuming searches nothing and returns the same (empty) result
     second = exhaustive_search(200, cache_path=str(cache))
     assert second == first == []
-    assert cache.read_text().splitlines() == lines  # nothing re-scanned
-    # Row e is marked iff e^4 < bound, also where the bound is e^4 itself.
-    for bound in (16, 17, 81, 82):
+    assert cache.read_text() == "upto 200\n"
+    # Each run that searches appends the mark of its own bound.
+    for bound in (16, 17, 337, 338):
         cache = tmp_path / f"resume{bound}.txt"
         exhaustive_search(bound, cache_path=str(cache))
-        assert _marked_rows(cache.read_text()) == _rows(bound)
+        assert cache.read_text() == f"upto {bound}\n"
 
 
 def _spy_tested(mp, tested):
@@ -507,78 +495,87 @@ def _spy_tested(mp, tested):
     mp.setattr(certificate, "scan_generator_block", spy)
 
 
+# Lines of the older cache formats, none of which is an `upto` mark:
+# `p q done` (the first), `p q bound done` (one line per pair),
+# `row p bound done` (one line per generator row p), and `erow e bound done`
+# (one line per e row of the Claim I search), which cover only part of the
+# pairs up to their bound; and lines that only look like a mark.
+OLD_LINES = (
+    "2 1 done", "12 5 done", "2 1 {n} done", "5 2 {n} done", "row 2 {n} done",
+    "erow 5 {n} done", "upto {n} done", "upto x", "upto -{n}", "uptoo {n}",
+)
+
+
 def test_search_cache_is_keyed_by_bound(tmp_path, monkeypatch):
-    from .oracles import square_generator_pairs
+    from .oracles import claim_ii_pairs
 
     cache = str(tmp_path / "bounds.txt")
     exhaustive_search(100, cache_path=cache)
     scanned = []
     _spy_tested(monkeypatch, scanned)
-    # Marks made at 100 do not cover 2000: (4, 1) has 112 more multiples.
+    # A mark made at 100 does not cover 2000: (16, 9) has x2 = 337.
     assert exhaustive_search(2000, cache_path=cache) == []
-    assert scanned == square_generator_pairs(2000)
-    # Marks made at 2000 cover every smaller bound.
+    assert scanned == claim_ii_pairs(2000) == [(16, 9)]
+    # A mark made at 2000 covers every smaller bound.
     scanned.clear()
     assert exhaustive_search(1000, cache_path=cache) == []
     assert scanned == []
-    # Lines of the older formats count for nothing: `p q done` (the first),
-    # where `12 5 done` would otherwise read as rows <= 12 done at bound 5;
-    # `p q bound done` (one line per pair), where `5 2 200 done` would read
-    # as rows <= 2 done at bound 200 if the tag went unchecked; and
-    # `row p bound done` (one line per generator row p), which covers only
-    # the e rows with e^2 <= p, none for p = 2, so reading `row 2 200 done`
-    # as an e row would skip e row 2 unscanned.
-    olds = ("2 1 done\n", "12 5 done\n", "2 1 200 done\n", "5 2 200 done\n", "row 2 200 done\n")
-    for old in olds:
-        (tmp_path / "bounds.txt").write_text(old)
+    for old in OLD_LINES:
+        (tmp_path / "bounds.txt").write_text(old.format(n=10**6) + "\n")
         scanned.clear()
-        exhaustive_search(100, cache_path=cache)
-        assert scanned == [(4, 1), (9, 4)]
+        exhaustive_search(400, cache_path=cache)
+        assert scanned == [(16, 9)], old
 
 
 def test_warm_search_enumerates_no_pair(tmp_path, monkeypatch):
-    from .oracles import square_generator_pairs
+    from .oracles import claim_ii_pairs
 
     cache = str(tmp_path / "warm.txt")
-    assert exhaustive_search(10**4, cache_path=cache) == []
+    assert exhaustive_search(10**6, cache_path=cache) == []
     tested = []
     _spy_tested(monkeypatch, tested)
-    # Every row is marked, so no pair is tested.
-    assert exhaustive_search(10**4, cache_path=cache) == []
+    # The mark covers the bound, so no pair is tested.
+    assert exhaustive_search(10**6, cache_path=cache) == []
     assert tested == []
     # The spy does see the pairs of an uncached run.
-    assert exhaustive_search(10**4) == []
-    assert tested == square_generator_pairs(10**4)
+    assert exhaustive_search(10**6) == []
+    assert sorted(tested) == claim_ii_pairs(10**6)
 
 
 @settings(max_examples=60, deadline=None)
-@given(bound=st.integers(1, 10**6), data=st.data())
-def test_interrupted_search_resumes_without_skipping(bound, data):
-    from .oracles import square_generator_pairs
+@given(n=st.integers(1, 10**8), data=st.data())
+def test_interrupted_search_resumes_without_skipping(n, data):
+    from .oracles import claim_ii_pairs
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         cache = os.path.join(tmp, "cache.txt")
-        uncached = exhaustive_search(bound)
-        assert exhaustive_search(bound, cache_path=cache) == uncached
-        with open(cache) as fh:
-            marks = fh.read().splitlines()
-        assert _marked_rows("\n".join(marks)) == _rows(bound)
-        # An interruption: the first k marks survive, perhaps followed by a
-        # cut-off fragment of mark k + 1.
-        k = data.draw(st.integers(0, len(marks)), label="k")
-        kept = "".join(mark + "\n" for mark in marks[:k])
-        if k < len(marks):
-            kept += marks[k][: data.draw(st.integers(0, len(marks[k]) - 1), label="cut")]
+        # A cache file: lines of older formats, then the mark of a run at n.
+        olds = data.draw(st.lists(st.sampled_from(OLD_LINES), max_size=3), label="olds")
         with open(cache, "w") as fh:
-            fh.write(kept)
-
-        scanned = []
-        _spy_tested(mp, scanned)
-        last = int(marks[k - 1].split()[1]) if k else 0
-        assert exhaustive_search(bound, cache_path=cache) == uncached
-        assert scanned == [(p, q) for p, q in square_generator_pairs(bound) if p > last**2]
+            fh.write("".join(old.format(n=n) + "\n" for old in olds))
+        assert exhaustive_search(n, cache_path=cache) == []
         with open(cache) as fh:
-            assert _marked_rows(fh.read()) == _rows(bound)
+            text = fh.read()
+        assert text.endswith(f"\nupto {n}\n" if olds else f"upto {n}\n")
+        # An interruption keeps a prefix of the file, perhaps cut mid-line.
+        prefix = text[: data.draw(st.integers(0, len(text)), label="cut")]
+        with open(cache, "w") as fh:
+            fh.write(prefix)
+
+        bound = data.draw(st.integers(1, n), label="bound")
+        uncached = exhaustive_search(bound)
+        covered = any(int(m) >= bound for m in re.findall(r"^upto (\d+)$", prefix, re.M))
+        tested = []
+        _spy_tested(mp, tested)
+        assert exhaustive_search(bound, cache_path=cache) == uncached
+        assert sorted(tested) == ([] if covered else claim_ii_pairs(bound))
+        with open(cache) as fh:
+            after = fh.read()
+        if covered:
+            assert after == prefix
+        else:
+            cut_off = prefix and not prefix.endswith("\n")
+            assert after == prefix + ("\n" if cut_off else "") + f"upto {bound}\n"
 
 
 def test_search_at_2000_is_empty_within_time_budget():
