@@ -9,16 +9,19 @@ a primitive triple.  So search gives the exact test of scan_generator_block
 to those pairs (e^2, f^2) with e^4 + f^4 <= N alone: about N^(1/4)/5.8
 pairs instead of about N/2pi.
 
-This module imports nothing from the package but its errors, so that
-`descente search` loads nothing else.
+This module imports nothing from the package but its errors, and the JSONL
+writer for `--format jsonl`, so that `descente search` loads nothing else.
+It also holds that command's body, cmd_search, and its records.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
+import time
 
-from .errors import DomainError
+from .errors import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, DomainError
 
 # The largest bound search accepts.  Its work grows as sqrt(sqrt(bound)):
 # 10^28 tests 1,725,872 pairs in about 5 s as a subprocess, with a peak RSS
@@ -75,9 +78,10 @@ def _load_cache(cache_path: str) -> int:
     if os.path.exists(cache_path):
         with open(cache_path, encoding="utf-8", errors="replace") as fh:
             for line in fh:
-                parts = line.split()
-                if len(parts) == 2 and parts[0] == "upto" and parts[1].isdecimal():
-                    last = max(last, int(parts[1]))
+                # Exactly `upto N`: `upto N ` (a cut-off `upto N done`) is none.
+                tag, _, number = line.rstrip("\n").partition(" ")
+                if tag == "upto" and number.isdecimal():
+                    last = max(last, int(number))
     return last
 
 
@@ -134,14 +138,24 @@ def search(
     writes no mark, so a resumed run finds and reports it again.
 
     A bound below 1 or above MAX_BOUND raises DomainError before the cache
-    is opened.
+    is opened.  A cache_path that cannot be appended to raises its OSError
+    before any pair is tested.
     """
     if bound_x2 < 1:
         raise DomainError("bound must be >= 1")
     if bound_x2 > MAX_BOUND:
         raise DomainError(f"bound must be <= {MAX_BOUND}")
-    if cache_path and _load_cache(cache_path) >= bound_x2:
-        return []
+    if cache_path:
+        if _load_cache(cache_path) >= bound_x2:
+            return []
+        # Fail now, not after the search, if the mark could not be appended;
+        # a file made only to find that out goes again, so that a run that
+        # finds a solution writes no file.
+        existed = os.path.exists(cache_path)
+        with open(cache_path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(cache_path)
     found: list[tuple[int, int, int, int]] = []
     # isqrt(isqrt(n)) is the integer fourth root of n.
     for r, s in generator_pairs(math.isqrt(math.isqrt(2 * bound_x2))):
@@ -154,3 +168,51 @@ def search(
             # A cut-off last line must not merge with the new mark.
             cache.write(("\n" if _ends_mid_line(cache_path) else "") + f"upto {bound_x2}\n")
     return sorted(set(found))
+
+
+# ---------------------------------------------------------------------------
+# the search command
+
+
+def solution_record(solution: tuple[int, int, int, int]) -> dict:
+    x0, x1, x2, x3 = solution
+    return {"record": "solution", "x0": x0, "x1": x1, "x2": x2, "x3": x3}
+
+
+def footer_record(bound: int, count: int, elapsed: float) -> dict:
+    return {"record": "footer", "bound": bound, "count": count, "elapsed": elapsed}
+
+
+def parse_search_record(line: str) -> dict:
+    import json
+
+    rec = json.loads(line)
+    if rec.get("record") not in ("solution", "footer"):
+        raise ValueError(f"not a search record: {line!r}")
+    return rec
+
+
+def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
+    start = time.monotonic()
+    try:
+        found = search(bound, cache_path)
+    except OSError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    elapsed = round(time.monotonic() - start, 3)
+    footer = footer_record(bound, len(found), elapsed)
+    if fmt == "jsonl":
+        from .jsonl import dumps
+
+        for c in found:
+            print(dumps(solution_record(c)), file=out)
+        print(dumps(footer), file=out)
+    else:
+        for x0, x1, x2, x3 in found:
+            print(f"counterexample: ({x0}, {x1}, {x2}, {x3})", file=out)
+        print(
+            f"bound {footer['bound']}: {footer['count']} counterexample(s) "
+            f"in {footer['elapsed']}s",
+            file=out,
+        )
+    return EXIT_COUNTEREXAMPLE if found else EXIT_OK

@@ -13,10 +13,11 @@ owned by this module (pair_encode / pair_decode).
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 
-from .errors import DomainError
+from .errors import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_PRECONDITION, DomainError, UsageError
 
 Predicate = Callable[[int], bool]
 Weight = Callable[[int], int]
@@ -148,10 +149,10 @@ class Report(namedtuple("Report", "schema instance bound failures")):
         return not self.failures
 
     def to_jsonl(self) -> list[str]:
-        import json  # only JSONL output loads json
+        from .jsonl import dumps
 
         lines = [
-            json.dumps(
+            dumps(
                 {
                     "record": "failure",
                     "schema": self.schema,
@@ -165,7 +166,7 @@ class Report(namedtuple("Report", "schema instance bound failures")):
             for f in self.failures
         ]
         lines.append(
-            json.dumps(
+            dumps(
                 {
                     "record": "report",
                     "schema": self.schema,
@@ -253,10 +254,10 @@ class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
         return tuple.__new__(cls, (instance, entries, outcome))
 
     def to_jsonl(self) -> list[str]:
-        import json  # only JSONL output loads json
+        from .jsonl import dumps
 
         lines = [
-            json.dumps(
+            dumps(
                 {
                     "record": "trace-entry",
                     "instance": self.instance,
@@ -268,7 +269,7 @@ class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
             for e in self.entries
         ]
         lines.append(
-            json.dumps(
+            dumps(
                 {
                     "record": "trace",
                     "instance": self.instance,
@@ -588,3 +589,119 @@ def walk_to_base(inst: ReductionDescentInstance, name: str) -> DescentInstance:
     whatever the predicate says there, so that step must be defined off the
     base."""
     return DescentInstance(name, inst.base, inst.weight, inst.step, inst.describe)
+
+
+# ---------------------------------------------------------------------------
+# instance registry and the descent and check commands
+
+
+class _Instance:
+    """A named instance: its start-value count, a trace factory taking the
+    start values to (instance, encoded start), and a report factory per
+    schema taking the bound."""
+
+    __slots__ = ("arity", "trace", "checks")
+
+    def __init__(self, arity: int, trace, checks: dict):
+        self.arity, self.trace, self.checks = arity, trace, checks
+
+
+def instances() -> dict[str, _Instance]:
+    """The registry of named instances, keyed by name.  Only the fermat and
+    walsh entries import descente.fermat, when they run."""
+
+    def fermat_trace(values: list[int]) -> tuple[object, int]:
+        from .fermat import CandidateSolution, encode_candidate, fermat_instance
+
+        return fermat_instance(), encode_candidate(CandidateSolution(*values))
+
+    def fermat_id(bound: int):
+        from .fermat import fermat_instance
+
+        return check_id(fermat_instance(), bound)
+
+    def walsh_trace(values: list[int]) -> tuple[object, int]:
+        from .fermat import CandidateSolution, encode_walsh_candidate, walsh_trace_instance
+
+        return walsh_trace_instance(), encode_walsh_candidate(CandidateSolution(*values))
+
+    def walsh_idprime(bound: int):
+        from .fermat import walsh_family
+
+        return check_id_prime(walsh_family(), bound)
+
+    return {
+        "pentagon": _Instance(2, lambda v: (pentagon_instance(), pair_encode(*v)), {}),
+        "vii31": _Instance(
+            1,
+            lambda v: (walk_to_base(vii31_rd_instance(), "vii31"), v[0]),
+            {
+                "id": lambda bound: check_id(vii31_instance(), bound),
+                "rd": lambda bound: check_rd(vii31_rd_instance(), bound),
+            },
+        ),
+        "gcd": _Instance(
+            2,
+            lambda v: (walk_to_base(gcd_instance(), "gcd"), pair_encode(*v)),
+            # The bound is over pair components, translated to the Cantor encoding.
+            {"rd": lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound))},
+        ),
+        "fermat": _Instance(4, fermat_trace, {"id": fermat_id}),
+        "walsh": _Instance(4, walsh_trace, {"idprime": walsh_idprime}),
+    }
+
+
+def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
+    if any(v < 0 for v in values):
+        raise UsageError("start values must be naturals")
+    entry = instances().get(name)
+    if entry is None:
+        raise UsageError(f"unknown instance {name!r}")
+    if len(values) != entry.arity:
+        raise UsageError(f"instance {name!r} takes {entry.arity} start value(s)")
+    inst, start = entry.trace(values)
+    # A fermat or walsh descent starts only from a counterexample, which the
+    # theorem rules out; it is wired anyway so a falsifying input descends.
+    if name in ("fermat", "walsh") and inst.predicate(start):
+        x0, x1, x2, x3 = values
+        if fmt == "jsonl":
+            from .jsonl import dumps
+
+            rec = dict(record="guard-rejection", instance=name, x0=x0, x1=x1, x2=x2, x3=x3)
+            print(dumps(rec), file=out)
+            return EXIT_OK
+        print(
+            f"guard rejection: ({x0}, {x1}, {x2}, {x3}) is not a "
+            "counterexample (needs positive legs, x0^2 + x1^2 = x2^2 and "
+            "x0*x1 = 2*x3^2)",
+            file=out,
+        )
+        print(
+            "no descent to run; see `check id fermat N` and "
+            "`search --bound N` for the vacuity certificates",
+            file=out,
+        )
+        return EXIT_OK
+    try:
+        trace = run_descent(inst, start, max_steps=10_000)
+    except DomainError as exc:
+        print(f"precondition failure: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    lines = trace.to_jsonl() if fmt == "jsonl" else trace.to_text()
+    for line in lines:
+        print(line, file=out)
+    return EXIT_OK
+
+
+def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
+    if bound < 1:
+        raise UsageError("bound must be >= 1")
+    registry = instances()
+    factory = registry[name].checks.get(schema) if name in registry else None
+    if factory is None:
+        raise UsageError(f"no registered {schema} instance named {name!r}")
+    report = factory(bound)
+    lines = report.to_jsonl() if fmt == "jsonl" else report.to_text()
+    for line in lines:
+        print(line, file=out)
+    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE

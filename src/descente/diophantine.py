@@ -7,10 +7,11 @@ independent oracles.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 
 from .core_arith import check_natural, common_prime_witness, coprime
-from .errors import DomainError, NonPrimitiveError
+from .errors import EXIT_OK, EXIT_PRECONDITION, DomainError, NonPrimitiveError, UsageError
 
 # proportions is imported inside the three functions that split squares, so
 # that `decompose triple` and `triples` do not load it, and certificate, the
@@ -151,3 +152,75 @@ def primitive_triples_up_to(max_x2: int):
         found.append((generate_triple(g), g))
     found.sort(key=lambda tg: (tg[0].x2, min(tg[0].legs())))
     return found
+
+
+# ---------------------------------------------------------------------------
+# the triples and decompose commands
+
+
+def triple_record(t: PythTriple, p: int, q: int, factor: int) -> dict:
+    lo, hi = sorted(t.legs())
+    return dict(
+        record="triple", x0=lo, x1=hi, x2=t.x2, p=p, q=q, factor=factor, primitive=factor == 1
+    )
+
+
+def parse_triple_record(line: str) -> dict:
+    import json
+
+    rec = json.loads(line)
+    if rec.get("record") != "triple":
+        raise ValueError(f"not a triple record: {line!r}")
+    return rec
+
+
+def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
+    if max_x2 < 1:
+        raise UsageError("max_x2 must be >= 1")
+    if fmt == "jsonl":
+        from .jsonl import dumps
+
+    rows = []
+    for t, g in primitive_triples_up_to(max_x2):
+        top = 1 if primitive_only else max_x2 // t.x2
+        for d in range(1, top + 1):
+            scaled = PythTriple(t.x0 * d, t.x1 * d, t.x2 * d)
+            rows.append((scaled, g, d))
+    rows.sort(key=lambda r: (r[0].x2, min(r[0].legs())))
+    for t, g, d in rows:
+        rec = triple_record(t, g.p, g.q, d)
+        if fmt == "jsonl":
+            print(dumps(rec), file=out)
+        else:
+            line = f"({rec['x0']}, {rec['x1']}, {rec['x2']})  p={g.p} q={g.q}"
+            if d != 1:
+                line += f"  non-primitive, factor {d}"
+            print(line, file=out)
+    return EXIT_OK
+
+
+def cmd_decompose(kind: str, values: list[int], out) -> int:
+    """The decomposition of kind of values; the command line's parser has
+    already checked the kind and the number of values."""
+    if any(v < 0 for v in values):
+        raise UsageError("values must be naturals")
+    try:
+        if kind == "triple":
+            t = PythTriple(values[0], values[1], values[2])
+            i, a, b = decompose_sum_of_squares(t)
+            line = f"i={i} a={a} b={b}"
+            z = common_prime_witness([t.x0, t.x1, t.x2]) if t.x2 else None
+            if z is not None:
+                line += f"  (non-primitive, common factor {z})"
+            print(line, file=out)
+        elif kind == "two-square":
+            m, k = decompose_primitive_two_square(values[0], values[1], values[2])
+            print(f"m={m} k={k}", file=out)
+        else:
+            t = PythTriple(values[0], values[1], values[2])
+            m, k = frenicle_xxxviii(t, values[3])
+            print(f"m={m} k={k}", file=out)
+    except DomainError as exc:
+        print(f"precondition failure: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    return EXIT_OK

@@ -1,4 +1,19 @@
-"""Shared exception types."""
+"""Shared exception types and the command-line exit codes.
+
+Exit codes are stable and documented:
+  0   success (and, for `search`, theorem upheld: nothing found)
+  1   I/O error (for example an unwritable cache path)
+  2   `search` found a counterexample (a bug by theorem; CI must fail loudly)
+  64  usage error (unknown command, instance, or malformed arguments)
+  65  precondition failure in `decompose` or `descent` (valid numbers,
+      invalid data, or a walk that needs a prime beyond the proven range)
+"""
+
+EXIT_OK = 0
+EXIT_IO = 1
+EXIT_COUNTEREXAMPLE = 2
+EXIT_USAGE = 64
+EXIT_PRECONDITION = 65
 
 
 class DomainError(ValueError):
@@ -14,3 +29,7 @@ class NonPrimitiveError(DomainError):
     def __init__(self, message, common_prime):
         super().__init__(message)
         self.common_prime = common_prime
+
+
+class UsageError(Exception):
+    """A malformed command line; main prints the command's usage before it."""

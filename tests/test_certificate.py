@@ -100,19 +100,19 @@ def _python(code, *flags):
 
 
 def test_search_loads_only_the_certificate():
-    proc = _python(
-        "import sys\n"
-        "from descente.cli import main\n"
-        "main(['search', '--bound', '10'])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'descente'))\n"
-        "print('dataclasses' in sys.modules)\n"
-    )
-    out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0, err
-    assert out.splitlines()[-2:] == [
-        "['descente', 'descente.certificate', 'descente.cli', 'descente.errors']",
-        "False",
-    ]
+    # and the JSONL writer, for JSONL output.
+    for fmt, jsonl in (("text", []), ("jsonl", ["descente.jsonl"])):
+        proc = _python(
+            "import sys\n"
+            "from descente.cli import main\n"
+            f"main(['search', '--bound', '10', '--format', {fmt!r}])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'descente'))\n"
+            "print('dataclasses' in sys.modules)\n"
+        )
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        loaded = ["descente", "descente.certificate", "descente.cli", "descente.errors", *jsonl]
+        assert out.splitlines()[-2:] == [str(loaded), "False"], fmt
 
 
 def _assert_loads_none_of(argv, banned):
@@ -188,41 +188,67 @@ def test_cli_import_loads_no_argparse_and_no_json():
     assert (proc.returncode, out) == (0, "[]\n"), err
 
 
-# Only JSONL output loads json.
+# No command loads json or argparse.
+TEXT_ARGVS = [
+    "search --bound 10",
+    "triples 30",
+    "descent gcd 12 9",
+    "descent vii31 360",
+    "descent fermat 3 4 5 1",
+    "check id vii31 50",
+    "check rd gcd 50",
+    "check id fermat 100",
+    "check idprime walsh 100",
+    "decompose triple 3 4 5",
+    "decompose two-square 1 2 3",
+    "decompose frenicle 4 3 5 2",
+]
+
+
+@pytest.mark.parametrize("argv", TEXT_ARGVS)
+def test_text_output_loads_no_json(argv):
+    _assert_loads_none_of(argv, ("json", "argparse"))
+
+
+# Every command above that takes --format writes its JSONL records without
+# json: only the parsers that read a record back load it.
+@pytest.mark.parametrize("argv", [argv for argv in TEXT_ARGVS if not argv.startswith("decompose")])
+def test_jsonl_output_loads_no_json(argv):
+    _assert_loads_none_of(f"{argv} --format jsonl", ("json", "argparse"))
+
+
+# One argv per command, in each format it has.  No package module imports
+# descente.cli, which `python -m descente.cli` runs as __main__: such an
+# import would compile it a second time.
 @pytest.mark.parametrize(
     "argv",
     [
         "search --bound 10",
         "triples 30",
         "descent gcd 12 9",
-        "descent vii31 360",
-        "descent fermat 3 4 5 1",
-        "check id vii31 50",
         "check rd gcd 50",
-        "check id fermat 100",
-        "check idprime walsh 100",
         "decompose triple 3 4 5",
-        "decompose two-square 1 2 3",
-        "decompose frenicle 4 3 5 2",
+        "search --bound 10 --format jsonl",
+        "triples 30 --format jsonl",
+        "descent gcd 12 9 --format jsonl",
+        "check rd gcd 50 --format jsonl",
     ],
 )
-def test_text_output_loads_no_json(argv):
-    _assert_loads_none_of(argv, ("json", "argparse"))
-
-
-@pytest.mark.parametrize(
-    "argv", ["search --bound 10", "triples 30", "descent gcd 12 9", "check rd gcd 50"]
-)
-def test_jsonl_output_loads_json(argv):
+def test_running_the_cli_as_main_never_imports_it(argv):
     proc = _python(
-        "import io, sys\n"
-        "from descente.cli import main\n"
-        f"print(main({argv.split() + ['--format', 'jsonl']!r}, out=io.StringIO()))\n"
-        "print('json' in sys.modules, 'argparse' in sys.modules)\n",
+        "import io, runpy, sys\n"
+        f"sys.argv = ['descente', *{argv.split()!r}]\n"
+        "sys.stdout = io.StringIO()\n"
+        "try:\n"
+        "    runpy.run_module('descente.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code, 'descente.cli' in sys.modules)\n",
         "-S",
     )
     out, err = proc.communicate(timeout=60)
-    assert out.splitlines() == ["0", "True False"], err
+    assert out.splitlines() == ["0 False"], err
 
 
 def test_huge_bound_search_runs_in_bounded_memory():

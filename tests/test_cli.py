@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from descente.certificate import parse_search_record
 from descente.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_IO,
@@ -14,10 +15,9 @@ from descente.cli import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
     main,
-    parse_search_record,
-    parse_triple_record,
 )
 from descente.descent_engine import DescentTrace, Report
+from descente.diophantine import parse_triple_record
 
 
 def run_cli(*argv: str):
@@ -108,6 +108,24 @@ def test_search_unwritable_cache_exits_1(tmp_path):
     assert code == EXIT_IO
 
 
+def test_search_unwritable_cache_fails_before_any_pair(tmp_path, monkeypatch, capsys):
+    import descente.certificate as certificate
+
+    tested = []
+    monkeypatch.setattr(certificate, "scan_generator_block", lambda *a: tested.append(a) or [])
+    cache = str(tmp_path / "no" / "c.txt")
+    assert run_cli("search", "--bound", str(10**24), "--cache", cache) == (EXIT_IO, [])
+    assert capsys.readouterr().err.startswith("cache error: ")
+    assert tested == []
+    # A writable path leaves no file behind while the search runs.
+    cache = tmp_path / "c.txt"
+    monkeypatch.setattr(
+        certificate, "scan_generator_block", lambda *a: tested.append(cache.exists()) or []
+    )
+    assert run_cli("search", "--bound", "1000000", "--cache", str(cache))[0] == EXIT_OK
+    assert tested == [False] * 5 and cache.read_text() == "upto 1000000\n"
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -118,8 +136,10 @@ def test_search_unwritable_cache_exits_1(tmp_path):
         b"row 1000 100000 done\n",
         b"12 5 done\n",
         b"upto 100000 done\n",
+        b"upto 100000 \n",
     ],
-    ids=["bad-number", "old-bad-number", "not-utf8", "erow", "row", "p-q", "upto-done"],
+    ids=["bad-number", "old-bad-number", "not-utf8", "erow", "row", "p-q", "upto-done",
+         "upto-space"],
 )
 def test_search_ignores_unparsable_cache_lines(tmp_path, content):
     cache = tmp_path / "cache.txt"
@@ -256,8 +276,7 @@ def test_descent_guard_rejection_jsonl(instance):
 
 
 def test_descent_walsh_runs_the_walsh_family():
-    from descente.cli import instances
-    from descente.descent_engine import run_descent
+    from descente.descent_engine import instances, run_descent
     from descente.fermat import CandidateSolution, encode_walsh_candidate, walsh_start_weight
 
     inst, start = instances()["walsh"].trace([3, 4, 5, 1])

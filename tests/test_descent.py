@@ -571,7 +571,7 @@ def test_vii31_walk_is_pure_off_its_memo():
     """Called in any order, on values no walk reached, the memoized walk,
     the ID instance and the CLI's walk agree with the reference at every
     value."""
-    from descente.cli import instances
+    from descente.descent_engine import instances
 
     walk, inst, (cli_walk, _) = vii31_walk(), vii31_instance(), instances()["vii31"].trace([0])
     values = list(range(400)) + [2**40, 2**39 * 3, 7**5]
