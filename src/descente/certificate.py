@@ -183,15 +183,6 @@ def footer_record(bound: int, count: int, elapsed: float) -> dict:
     return {"record": "footer", "bound": bound, "count": count, "elapsed": elapsed}
 
 
-def parse_search_record(line: str) -> dict:
-    import json
-
-    rec = json.loads(line)
-    if rec.get("record") not in ("solution", "footer"):
-        raise ValueError(f"not a search record: {line!r}")
-    return rec
-
-
 def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
     start = time.monotonic()
     try:

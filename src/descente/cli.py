@@ -9,8 +9,8 @@ imports this one: under `python -m descente.cli` it runs as __main__, and an
 import would compile it a second time.
 
 The exit codes live in descente.errors and are re-exported here.  JSON-lines
-output is UTF-8, one object per line, keys in fixed order, written by
-descente.jsonl; every record type round-trips through its parser.
+output is UTF-8, one flat object per line, keys in fixed order, written by
+descente.jsonl.
 """
 
 from __future__ import annotations

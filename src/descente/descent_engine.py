@@ -179,34 +179,6 @@ class Report(namedtuple("Report", "schema instance bound failures")):
         )
         return lines
 
-    @classmethod
-    def from_jsonl(cls, lines: list[str]) -> "Report":
-        import json
-
-        failures = []
-        summary = None
-        for line in lines:
-            rec = json.loads(line)
-            if rec["record"] == "failure":
-                failures.append(
-                    Failure(
-                        value=rec["value"],
-                        kind=rec["kind"],
-                        detail=rec["detail"],
-                        index=rec["index"],
-                    )
-                )
-            elif rec["record"] == "report":
-                summary = rec
-        if summary is None:
-            raise ValueError("missing report summary line")
-        return cls(
-            schema=summary["schema"],
-            instance=summary["instance"],
-            bound=summary["bound"],
-            failures=tuple(failures),
-        )
-
     def to_text(self) -> list[str]:
         lines = [
             f"{f.value:>12}  {'' if f.index is None else f'P_{f.index}':<4}  "
@@ -279,26 +251,6 @@ class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
             )
         )
         return lines
-
-    @classmethod
-    def from_jsonl(cls, lines: list[str]) -> "DescentTrace":
-        import json
-
-        entries = []
-        summary = None
-        for line in lines:
-            rec = json.loads(line)
-            if rec["record"] == "trace-entry":
-                entries.append(
-                    TraceEntry(value=rec["value"], weight=rec["weight"], label=rec["label"])
-                )
-            elif rec["record"] == "trace":
-                summary = rec
-        if summary is None:
-            raise ValueError("missing trace summary line")
-        return cls(
-            instance=summary["instance"], entries=tuple(entries), outcome=summary["outcome"]
-        )
 
     def to_text(self) -> list[str]:
         width = max((len(str(e.weight)) for e in self.entries), default=1)

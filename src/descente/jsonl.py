@@ -4,9 +4,7 @@ For a dict of str keys and str, int, float, bool or None values, dumps
 returns exactly what json.dumps returns: ASCII only, with the short escapes
 for quote, backslash, \\b, \\f, \\n, \\r and \\t, \\u00XX for the other C0
 controls and DEL, \\uXXXX for every other non-ASCII character (a surrogate
-pair above U+FFFF), int.__repr__ and float.__repr__.  Reading a record
-back (the parsers in certificate, diophantine and descent_engine) still
-uses json.loads.
+pair above U+FFFF), int.__repr__ and float.__repr__.
 """
 
 _SHORT = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}

@@ -156,14 +156,10 @@ def split_coprime_double_square(
         raise DomainError(f"{a} and {b} are not coprime")
     if p * a * b != v * v:
         raise DomainError(f"{p}*{a}*{b} != {v}^2")
-    for which, pm2, k2 in (("a", a, b), ("b", b, a)):
-        if pm2 % p == 0:
-            m = exact_sqrt(pm2 // p)
-            k = exact_sqrt(k2)
-            if m is not None and k is not None:
-                assert k >= 1 and coprime([p * m, k])
-                return m, k, which
-    raise AssertionError("coprime double-square split failed")
+    # p*a*b is a square, so the prime p divides a*b: one of the coprime a, b.
+    which, pm2, k2 = ("a", a, b) if a % p == 0 else ("b", b, a)
+    m, k = split_coprime_square(pm2 // p, k2, v // p)
+    return m, k, which
 
 
 def split_sum_diff_square(p: int, q: int, c: int) -> tuple[int, int]:
@@ -181,8 +177,4 @@ def split_sum_diff_square(p: int, q: int, c: int) -> tuple[int, int]:
         raise DomainError(f"need p > q >= 1, got p={p}, q={q}")
     if p * p - q * q != c * c:
         raise DomainError(f"{p}^2 - {q}^2 != {c}^2")
-    g = exact_sqrt(p + q)
-    h = exact_sqrt(p - q)
-    assert g is not None and h is not None and g * h == c
-    assert coprime([g, h])
-    return g, h
+    return split_coprime_square(p + q, p - q, c)

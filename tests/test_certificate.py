@@ -2,6 +2,7 @@
 test, the lemmas that let it skip every other generator pair, the coverage of
 the one generator enumeration, and the modules and memory a search needs."""
 
+import ast
 import math
 import os
 import signal
@@ -211,10 +212,26 @@ def test_text_output_loads_no_json(argv):
 
 
 # Every command above that takes --format writes its JSONL records without
-# json: only the parsers that read a record back load it.
+# json.
 @pytest.mark.parametrize("argv", [argv for argv in TEXT_ARGVS if not argv.startswith("decompose")])
 def test_jsonl_output_loads_no_json(argv):
     _assert_loads_none_of(f"{argv} --format jsonl", ("json", "argparse"))
+
+
+def test_no_package_module_imports_json():
+    # The package only writes JSONL, through descente.jsonl, and reads none.
+    importers = []
+    for path in sorted(Path(SRC, "descente").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
 
 
 # One argv per command, in each format it has.  No package module imports

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from descente.certificate import parse_search_record
 from descente.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_IO,
@@ -16,14 +15,22 @@ from descente.cli import (
     EXIT_USAGE,
     main,
 )
-from descente.descent_engine import DescentTrace, Report
-from descente.diophantine import parse_triple_record
 
 
 def run_cli(*argv: str):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue().splitlines()
+
+
+def records(lines: list[str]) -> list[dict]:
+    """Each JSONL line as a dict, with a search footer's `elapsed`, which
+    varies from run to run, checked to be a float and dropped."""
+    recs = [json.loads(line) for line in lines]
+    for r in recs:
+        if "elapsed" in r:
+            assert isinstance(r.pop("elapsed"), float)
+    return recs
 
 
 # ---------------------------------------------------------------------------
@@ -52,11 +59,22 @@ def test_triples_max_15_includes_marked_nonprimitive():
 def test_triples_jsonl_round_trip():
     code, lines = run_cli("triples", "15", "--format", "jsonl")
     assert code == EXIT_OK
-    records = [parse_triple_record(line) for line in lines]
-    assert {(r["x0"], r["x1"], r["x2"]) for r in records} == {
+    assert [json.dumps(json.loads(line)) for line in lines] == lines
+    recs = records(lines)
+    assert recs == [
+        {"record": "triple", "x0": 3, "x1": 4, "x2": 5, "p": 2, "q": 1, "factor": 1,
+         "primitive": True},
+        {"record": "triple", "x0": 6, "x1": 8, "x2": 10, "p": 2, "q": 1, "factor": 2,
+         "primitive": False},
+        {"record": "triple", "x0": 5, "x1": 12, "x2": 13, "p": 3, "q": 2, "factor": 1,
+         "primitive": True},
+        {"record": "triple", "x0": 9, "x1": 12, "x2": 15, "p": 2, "q": 1, "factor": 3,
+         "primitive": False},
+    ]
+    assert {(r["x0"], r["x1"], r["x2"]) for r in recs} == {
         (3, 4, 5), (6, 8, 10), (5, 12, 13), (9, 12, 15),
     }
-    for r in records:
+    for r in recs:
         assert list(r.keys()) == [
             "record", "x0", "x1", "x2", "p", "q", "factor", "primitive",
         ]
@@ -68,9 +86,28 @@ def test_triples_text_and_jsonl_contain_same_rows():
     _, text = run_cli("triples", "30")
     _, jsonl = run_cli("triples", "30", "--format", "jsonl")
     assert len(text) == len(jsonl)
-    for line, jline in zip(text, jsonl):
-        rec = parse_triple_record(jline)
-        assert line.startswith(f"({rec['x0']}, {rec['x1']}, {rec['x2']})")
+    for line, rec in zip(text, records(jsonl)):
+        assert list(rec) == ["record", "x0", "x1", "x2", "p", "q", "factor", "primitive"]
+        assert rec["record"] == "triple" and rec["primitive"] == (rec["factor"] == 1)
+        head = f"({rec['x0']}, {rec['x1']}, {rec['x2']})"
+        assert line.startswith(head)
+        tail = "" if rec["primitive"] else f"  non-primitive, factor {rec['factor']}"
+        assert line == f"{head}  p={rec['p']} q={rec['q']}{tail}"
+
+
+def test_triples_above_the_limit_exits_64_before_any_pair(monkeypatch, capsys):
+    import descente.certificate as certificate
+
+    called = []
+    monkeypatch.setattr(certificate, "generator_pairs", lambda *a: called.append(a) or iter(()))
+    for fmt in ("text", "jsonl"):
+        assert run_cli("triples", str(10**5 + 1), "--format", fmt) == (EXIT_USAGE, [])
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: descente triples")
+        assert err[1:] == ["descente: error: max_x2 must be <= 100000"]
+    assert called == []
+    assert run_cli("triples", str(10**5), "--primitive-only") == (EXIT_OK, [])
+    assert called == [(10**5,)]
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +117,13 @@ def test_triples_text_and_jsonl_contain_same_rows():
 def test_search_bound_500_jsonl():
     code, lines = run_cli("search", "--bound", "500", "--format", "jsonl")
     assert code == EXIT_OK
-    records = [parse_search_record(line) for line in lines]
-    assert records[-1]["record"] == "footer"
-    assert records[-1]["bound"] == 500 and records[-1]["count"] == 0
-    assert list(records[-1].keys()) == ["record", "bound", "count", "elapsed"]
-    assert all(r["record"] == "solution" for r in records[:-1])
-    assert records[:-1] == []
+    assert list(json.loads(lines[-1]).keys()) == ["record", "bound", "count", "elapsed"]
+    recs = records(lines)
+    assert recs == [{"record": "footer", "bound": 500, "count": 0}]
+    assert recs[-1]["record"] == "footer"
+    assert recs[-1]["bound"] == 500 and recs[-1]["count"] == 0
+    assert all(r["record"] == "solution" for r in recs[:-1])
+    assert recs[:-1] == []
 
 
 def test_search_resume_identical_footer(tmp_path):
@@ -93,14 +131,7 @@ def test_search_resume_identical_footer(tmp_path):
     code1, lines1 = run_cli("search", "--bound", "500", "--format", "jsonl", "--cache", cache)
     code2, lines2 = run_cli("search", "--bound", "500", "--format", "jsonl", "--cache", cache)
     assert code1 == code2 == EXIT_OK
-
-    def strip_elapsed(lines):
-        return [
-            {k: v for k, v in json.loads(line).items() if k != "elapsed"}
-            for line in lines
-        ]
-
-    assert strip_elapsed(lines1) == strip_elapsed(lines2)
+    assert records(lines1) == records(lines2)
 
 
 def test_search_unwritable_cache_exits_1(tmp_path):
@@ -146,7 +177,7 @@ def test_search_ignores_unparsable_cache_lines(tmp_path, content):
     cache.write_bytes(content)
     code, lines = run_cli("search", "--bound", "400", "--format", "jsonl", "--cache", str(cache))
     assert code == EXIT_OK
-    assert parse_search_record(lines[-1])["count"] == 0
+    assert records(lines) == [{"record": "footer", "bound": 400, "count": 0}]
     # No line is an `upto` mark, so the run searches and appends its own.
     assert cache.read_bytes() == content + b"upto 400\n"
 
@@ -201,10 +232,10 @@ def test_search_resume_keeps_found_counterexample(tmp_path, monkeypatch):
         argv = ("search", "--bound", "400", "--format", "jsonl", "--cache", str(cache))
         code, lines = run_cli(*argv)
         assert code == EXIT_COUNTEREXAMPLE
-        assert parse_search_record(lines[0]) == {
-            "record": "solution", "x0": 3, "x1": 4, "x2": 5, "x3": 1,
-        }
-        assert parse_search_record(lines[-1])["count"] == 1
+        assert records(lines) == [
+            {"record": "solution", "x0": 3, "x1": 4, "x2": 5, "x3": 1},
+            {"record": "footer", "bound": 400, "count": 1},
+        ]
         assert not cache.exists()  # no mark, so the next run searches again
 
 
@@ -229,8 +260,13 @@ def test_descent_vii31_360_ends_at_2():
 def test_descent_jsonl_round_trip():
     code, lines = run_cli("descent", "vii31", "360", "--format", "jsonl")
     assert code == EXIT_OK
-    trace = DescentTrace.from_jsonl(lines)
-    assert [e.value for e in trace.entries] == [360, 72, 24, 8, 4, 2]
+    assert [json.dumps(json.loads(line)) for line in lines] == lines
+    walk = [(360, "360"), (72, "72"), (24, "24"), (8, "8"), (4, "4"), (2, "2 (prime)")]
+    assert records(lines) == [
+        *({"record": "trace-entry", "instance": "vii31", "value": v, "weight": v, "label": label}
+          for v, label in walk),
+        {"record": "trace", "instance": "vii31", "outcome": "predicate-holds", "entries": 6},
+    ]
 
 
 def test_descent_gcd():
@@ -338,8 +374,11 @@ def test_check_rd_gcd_200():
 def test_check_idprime_walsh_500_jsonl_round_trip():
     code, lines = run_cli("check", "idprime", "walsh", "500", "--format", "jsonl")
     assert code == EXIT_OK
-    report = Report.from_jsonl(lines)
-    assert report.ok and report.schema == "idprime" and report.bound == 500
+    assert [json.dumps(json.loads(line)) for line in lines] == lines
+    assert records(lines) == [
+        {"record": "report", "schema": "idprime", "instance": "walsh", "bound": 500,
+         "failures": 0, "ok": True},
+    ]
 
 
 def test_check_id_fermat_has_no_weight_mode(capsys):
@@ -476,7 +515,7 @@ def test_option_equals_value_is_the_same_as_option_space_value(argv):
 def test_search_bound_equals_value_and_no_option_prefix():
     code, lines = run_cli("search", "--bound=500", "--format=jsonl")
     assert code == EXIT_OK
-    assert parse_search_record(lines[-1])["bound"] == 500
+    assert records(lines) == [{"record": "footer", "bound": 500, "count": 0}]
     assert run_cli("search", "--bou", "500") == (EXIT_USAGE, [])
     assert run_cli("triples", "5", "--primitive") == (EXIT_USAGE, [])
 

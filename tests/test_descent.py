@@ -603,13 +603,24 @@ def test_run_descent_gcd():
     assert trace.outcome == "predicate-holds"
 
 
+def trace_entry_records(instance: str, walk: list[tuple[int, str]]) -> list[dict]:
+    """The JSONL records of the entries of a walk whose weight is its value."""
+    return [
+        {"record": "trace-entry", "instance": instance, "value": v, "weight": v, "label": label}
+        for v, label in walk
+    ]
+
+
 def test_run_descent_ends_weight_not_decreased_as_data():
     # Steps from 5 to 3, then to 4: the second step raises the weight.
     inst = DescentInstance("up", lambda v: v == 0, lambda v: v, lambda v: {5: 3, 3: 4}[v])
     trace = run_descent(inst, 5, 10)
     assert trace.outcome == "weight-not-decreased"
     assert [e.weight for e in trace.entries] == [5, 3, 4]
-    assert DescentTrace.from_jsonl(trace.to_jsonl()) == trace
+    assert [json.loads(line) for line in trace.to_jsonl()] == [
+        *trace_entry_records("up", [(5, "5"), (3, "3"), (4, "4")]),
+        {"record": "trace", "instance": "up", "outcome": "weight-not-decreased", "entries": 3},
+    ]
     assert trace.to_text()[-1] == "outcome: weight-not-decreased"
     flat = DescentInstance("flat", lambda v: False, lambda v: 7, lambda v: v + 1)
     assert [e.value for e in run_descent(flat, 1, 10).entries] == [1, 2]
@@ -619,7 +630,10 @@ def test_run_descent_ends_step_error_as_data():
     inst = DescentInstance("div", lambda v: v == 1, lambda v: v, lambda v: 12 // (v - 4))
     trace = run_descent(inst, 4, 10)
     assert (trace.outcome, len(trace.entries)) == ("step-error", 1)
-    assert DescentTrace.from_jsonl(trace.to_jsonl()) == trace
+    assert [json.loads(line) for line in trace.to_jsonl()] == [
+        *trace_entry_records("div", [(4, "4")]),
+        {"record": "trace", "instance": "div", "outcome": "step-error", "entries": 1},
+    ]
 
 
 def test_run_descent_passes_domain_errors_through():
@@ -686,7 +700,15 @@ def test_report_jsonl_round_trip():
     )
     lines = report.to_jsonl()
     assert all(isinstance(json.loads(line), dict) for line in lines)
-    assert Report.from_jsonl(lines) == report
+    assert [json.dumps(json.loads(line)) for line in lines] == lines
+    assert [json.loads(line) for line in lines] == [
+        {"record": "failure", "schema": "id", "instance": "demo", "value": 5, "index": None,
+         "kind": "weight-not-decreased", "detail": "weight 5 -> 7"},
+        {"record": "failure", "schema": "id", "instance": "demo", "value": 6, "index": 1,
+         "kind": "step-undefined", "detail": "x"},
+        {"record": "report", "schema": "id", "instance": "demo", "bound": 42, "failures": 2,
+         "ok": False},
+    ]
     # fixed key order
     assert list(json.loads(lines[-1]).keys()) == [
         "record", "schema", "instance", "bound", "failures", "ok",
@@ -705,7 +727,12 @@ def test_report_text_rendering():
 def test_trace_jsonl_round_trip():
     trace = run_descent(vii31_walk(), 360, 100)
     lines = trace.to_jsonl()
-    assert DescentTrace.from_jsonl(lines) == trace
+    assert [json.dumps(json.loads(line)) for line in lines] == lines
+    walk = [(360, "360"), (72, "72"), (24, "24"), (8, "8"), (4, "4"), (2, "2 (prime)")]
+    assert [json.loads(line) for line in lines] == [
+        *trace_entry_records("vii31", walk),
+        {"record": "trace", "instance": "vii31", "outcome": "predicate-holds", "entries": 6},
+    ]
     assert list(json.loads(lines[0]).keys()) == ["record", "instance", "value", "weight", "label"]
     assert list(json.loads(lines[-1]).keys()) == ["record", "instance", "outcome", "entries"]
 
