@@ -8,24 +8,15 @@ runs, so a command compiles no other command's code.  No package module
 imports this one: under `python -m descente.cli` it runs as __main__, and an
 import would compile it a second time.
 
-The exit codes live in descente.errors and are re-exported here.  JSON-lines
-output is UTF-8, one flat object per line, keys in fixed order, written by
-descente.jsonl.
+The exit codes live in descente.errors.  JSON-lines output is UTF-8, one
+flat object per line, keys in fixed order, written by descente.jsonl.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .errors import (  # noqa: F401  (re-exported for callers)
-    EXIT_COUNTEREXAMPLE,
-    EXIT_IO,
-    EXIT_OK,
-    EXIT_PRECONDITION,
-    EXIT_USAGE,
-    DomainError,
-    UsageError,
-)
+from .errors import EXIT_OK, EXIT_USAGE, DomainError, UsageError
 
 REQUIRED = object()
 CHOICES = (tuple, dict)
@@ -148,11 +139,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
         module = import_module(f"descente.{COMMANDS[command][0]}")
         return getattr(module, f"cmd_{command}")(*args, out)
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(usage(command), f"descente: error: {exc}", sep="\n", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -37,27 +37,22 @@ def gcd(x: int, y: int) -> int:
     return math.gcd(x, y)
 
 
-# Strong Miller-Rabin with the first k primes as bases is exact below these
-# limits (Jaeschke 1993; Sorenson and Webster 2015).  PRIME_LIMIT is the least
-# strong pseudoprime to all of the first 13 primes, so no fixed set of bases
-# used here decides primality at or above it.
+# Strong Miller-Rabin with the first 13 primes as bases is exact below
+# PRIME_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster 2015), so these 13 bases decide every p below it.  Fewer bases are
+# exact below smaller limits (Jaeschke 1993), but they save only microseconds
+# per call.  No fixed set of bases used here decides primality at or above
+# PRIME_LIMIT.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
-_BASE_TIERS = (
-    (3_215_031_751, 4),
-    (3_474_749_660_383, 6),
-    (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9),
-    (PRIME_LIMIT, 13),
-)
 # Factors below this are found by trial division before rho is tried.
 _TRIAL_LIMIT = 1024
 
 
 def is_prime(p: int) -> bool:
     """Exact primality: trial division by the primes up to 47, then strong
-    Miller-Rabin with the fixed bases that are proven below PRIME_LIMIT.
+    Miller-Rabin with the first 13 primes as bases, exact below PRIME_LIMIT.
 
     At or above PRIME_LIMIT a witness still proves p composite; when none
     is found, primality cannot be decided and DomainError is raised.
@@ -69,14 +64,11 @@ def is_prime(p: int) -> bool:
         return p <= _SMALL_PRIMES[-1] and p in _SMALL_PRIMES
     if p < _SMALL_PRIMES[-1] ** 2:
         return True
-    for limit, k in _BASE_TIERS:  # k stays 13 at or above PRIME_LIMIT
-        if p < limit:
-            break
     # Strong test: p - 1 = d * 2**s with d odd; base a is a witness unless
     # a**d is 1 or a**(d * 2**i) is p - 1 for some i < s.
     s = ((p - 1) & (1 - p)).bit_length() - 1
     d = (p - 1) >> s
-    for a in _SMALL_PRIMES[:k]:
+    for a in _SMALL_PRIMES[:13]:
         x = pow(a, d, p)
         if x == 1 or x == p - 1:
             continue
@@ -182,10 +174,7 @@ class Factorization(namedtuple("Factorization", "factors")):
 
     @property
     def value(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
+        return math.prod(p**e for p, e in self.factors)
 
 
 def factorize(x: int) -> Factorization:
@@ -233,10 +222,7 @@ def coprime(values: list[int]) -> bool:
     if not values:
         raise DomainError("coprime undefined for the empty list")
     check_natural(*values)
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g == 1
+    return math.gcd(*values) == 1
 
 
 def common_prime_witness(values: list[int]) -> int | None:
@@ -244,9 +230,7 @@ def common_prime_witness(values: list[int]) -> int | None:
     if not values:
         raise DomainError("common_prime_witness undefined for the empty list")
     check_natural(*values)
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
+    g = math.gcd(*values)
     if g == 1:
         return None
     if g == 0:

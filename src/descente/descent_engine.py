@@ -549,8 +549,8 @@ def walk_to_base(inst: ReductionDescentInstance, name: str) -> DescentInstance:
 
 class _Instance:
     """A named instance: its start-value count, a trace factory taking the
-    start values to (instance, encoded start), and a report factory per
-    schema taking the bound."""
+    start values to (instance, encoded start), and per schema the largest
+    bound its check accepts and a report factory taking the bound."""
 
     __slots__ = ("arity", "trace", "checks")
 
@@ -560,7 +560,12 @@ class _Instance:
 
 def instances() -> dict[str, _Instance]:
     """The registry of named instances, keyed by name.  Only the fermat and
-    walsh entries import descente.fermat, when they run."""
+    walsh entries import descente.fermat, when they run.
+
+    Each check's limit keeps it to a few seconds as a subprocess (Python
+    3.11, 2 CPUs): 2*10**7 for vii31 takes about 1.1 s, and 3,000 for the
+    gcd side 1.2-1.5 s.  The fermat and walsh checks grow as the square
+    root of the bound: 10**11 takes 2.1-2.4 s, and 10**12 about 7-8 s."""
 
     def fermat_trace(values: list[int]) -> tuple[object, int]:
         from .fermat import CandidateSolution, encode_candidate, fermat_instance
@@ -588,18 +593,18 @@ def instances() -> dict[str, _Instance]:
             1,
             lambda v: (walk_to_base(vii31_rd_instance(), "vii31"), v[0]),
             {
-                "id": lambda bound: check_id(vii31_instance(), bound),
-                "rd": lambda bound: check_rd(vii31_rd_instance(), bound),
+                "id": (2 * 10**7, lambda bound: check_id(vii31_instance(), bound)),
+                "rd": (2 * 10**7, lambda bound: check_rd(vii31_rd_instance(), bound)),
             },
         ),
         "gcd": _Instance(
             2,
             lambda v: (walk_to_base(gcd_instance(), "gcd"), pair_encode(*v)),
             # The bound is over pair components, translated to the Cantor encoding.
-            {"rd": lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound))},
+            {"rd": (3000, lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound)))},
         ),
-        "fermat": _Instance(4, fermat_trace, {"id": fermat_id}),
-        "walsh": _Instance(4, walsh_trace, {"idprime": walsh_idprime}),
+        "fermat": _Instance(4, fermat_trace, {"id": (10**11, fermat_id)}),
+        "walsh": _Instance(4, walsh_trace, {"idprime": (10**11, walsh_idprime)}),
     }
 
 
@@ -649,9 +654,12 @@ def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
     if bound < 1:
         raise UsageError("bound must be >= 1")
     registry = instances()
-    factory = registry[name].checks.get(schema) if name in registry else None
-    if factory is None:
+    check = registry[name].checks.get(schema) if name in registry else None
+    if check is None:
         raise UsageError(f"no registered {schema} instance named {name!r}")
+    limit, factory = check
+    if bound > limit:
+        raise UsageError(f"bound must be <= {limit}")
     report = factory(bound)
     lines = report.to_jsonl() if fmt == "jsonl" else report.to_text()
     for line in lines:

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from descente.cli import (
+from descente.cli import main
+from descente.errors import (
     EXIT_COUNTEREXAMPLE,
     EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
-    main,
 )
 
 
@@ -197,7 +197,9 @@ def test_search_ends_cut_off_cache_line(tmp_path):
 def test_search_bad_bound_or_format_exits_64(tmp_path, capsys):
     cache = tmp_path / "cache.txt"
     assert run_cli("search", "--bound", "0", "--cache", str(cache)) == (EXIT_USAGE, [])
-    assert capsys.readouterr().err == "bound must be >= 1\n"
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: descente search")
+    assert err[1:] == ["descente: error: bound must be >= 1"]
     assert not cache.exists()
     assert run_cli("search", "--bound", "5", "--format", "xml") == (EXIT_USAGE, [])
     err = capsys.readouterr().err
@@ -209,7 +211,9 @@ def test_search_bound_above_the_limit_exits_64(tmp_path, capsys):
     cache = tmp_path / "cache.txt"
     argv = ("search", "--bound", str(10**28 + 1), "--cache", str(cache))
     assert run_cli(*argv) == (EXIT_USAGE, [])
-    assert capsys.readouterr().err == f"bound must be <= {10**28}\n"
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: descente search")
+    assert err[1:] == [f"descente: error: bound must be <= {10**28}"]
     assert not cache.exists()
 
 
@@ -463,6 +467,13 @@ def test_unknown_command_exits_64():
         "descent pentagon 8",
         "check rd walsh 100",
         "decompose triple 3 4",
+        "search --bound 0",
+        f"search --bound {10**28 + 1}",
+        f"check id vii31 {2 * 10**7 + 1}",
+        f"check rd vii31 {2 * 10**7 + 1}",
+        "check rd gcd 3001",
+        f"check id fermat {10**11 + 1}",
+        f"check idprime walsh {10**11 + 1}",
     ],
 )
 def test_usage_error_prints_usage_and_one_error_line(argv, capsys):
