@@ -72,16 +72,20 @@ def scan_generator_block(p: int, q: int, bound_x2: int) -> list[tuple[int, int, 
 
 def _load_cache(cache_path: str) -> int:
     """The largest N of an `upto N` mark in the file at cache_path, or 0 if
-    there is none.  Lines of any other shape, lines whose number does not
-    parse, and bytes that are not UTF-8 are ignored."""
+    there is none.  N is ASCII digits, as search writes it.  Lines of any
+    other shape, numbers too long for int() to convert, and bytes that are
+    not UTF-8 are ignored."""
     last = 0
     if os.path.exists(cache_path):
         with open(cache_path, encoding="utf-8", errors="replace") as fh:
             for line in fh:
                 # Exactly `upto N`: `upto N ` (a cut-off `upto N done`) is none.
                 tag, _, number = line.rstrip("\n").partition(" ")
-                if tag == "upto" and number.isdecimal():
-                    last = max(last, int(number))
+                if tag == "upto" and number.isascii() and number.isdigit():
+                    try:
+                        last = max(last, int(number))
+                    except ValueError:  # more digits than int() converts
+                        pass
     return last
 
 

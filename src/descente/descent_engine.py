@@ -565,7 +565,7 @@ def instances() -> dict[str, _Instance]:
     Each check's limit keeps it to a few seconds as a subprocess (Python
     3.11, 2 CPUs): 2*10**7 for vii31 takes about 1.1 s, and 3,000 for the
     gcd side 1.2-1.5 s.  The fermat and walsh checks grow as the square
-    root of the bound: 10**11 takes 2.1-2.4 s, and 10**12 about 7-8 s."""
+    root of the bound: 10**11 takes 1.6-2.4 s, and 10**12 about 7-8 s."""
 
     def fermat_trace(values: list[int]) -> tuple[object, int]:
         from .fermat import CandidateSolution, encode_candidate, fermat_instance
@@ -608,9 +608,17 @@ def instances() -> dict[str, _Instance]:
     }
 
 
+# Start values must be below this.  A trace prints Cantor codes, and the
+# code of a pair below it has at most 4,001 digits: within the 4,300 that
+# int() converts to str by default, which longer starts would exceed.
+START_LIMIT = 10**2000
+
+
 def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
     if any(v < 0 for v in values):
         raise UsageError("start values must be naturals")
+    if any(v >= START_LIMIT for v in values):
+        raise UsageError("start values must be below 10**2000")
     entry = instances().get(name)
     if entry is None:
         raise UsageError(f"unknown instance {name!r}")

@@ -21,8 +21,8 @@ MAX_X2 = 10**5
 
 # proportions is imported inside the three functions that split squares, so
 # that `decompose triple` and `triples` do not load it, and certificate, the
-# home of generator_pairs, inside primitive_triples_up_to and cmd_triples,
-# so that `decompose` does not load it.
+# home of generator_pairs, inside cmd_triples, so that `decompose` does not
+# load it.
 
 
 class PythTriple(namedtuple("PythTriple", "x0 x1 x2")):
@@ -144,20 +144,6 @@ def decompose_primitive_two_square(x0: int, x1: int, x2: int) -> tuple[int, int]
     assert 2 * m**2 != k**2
     assert x0 == abs(2 * m**2 - k**2) and x1 == 2 * m * k and x2 == 2 * m**2 + k**2
     return m, k
-
-
-def primitive_triples_up_to(max_x2: int):
-    """Every primitive PythTriple with positive legs and x2 <= max_x2, with
-    its Generators, ordered by (x2, smaller leg)."""
-    from .certificate import generator_pairs
-
-    check_natural(max_x2)
-    found = []
-    for p, q in generator_pairs(max_x2):
-        g = Generators(i=0, p=p, q=q)
-        found.append((generate_triple(g), g))
-    found.sort(key=lambda tg: (tg[0].x2, min(tg[0].legs())))
-    return found
 
 
 # ---------------------------------------------------------------------------

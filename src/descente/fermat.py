@@ -28,7 +28,9 @@ from .errors import DomainError
 
 # core_arith, diophantine and proportions are imported inside the functions
 # that use them: the predicates that the checks evaluate need none of them,
-# and the step path that does runs only from a counterexample.
+# and the step path that does runs only from a counterexample.  So is
+# certificate, which only the fermat check's candidates and
+# exhaustive_search need.
 
 
 class CandidateSolution(namedtuple("CandidateSolution", "x0 x1 x2 x3")):
@@ -263,24 +265,26 @@ def _triple_codes(bound: int) -> list[int]:
     """The quad codes <= bound with positive legs whose third component is
     their hypotenuse, increasing: outside them _not_counterexample holds.
 
-    A code pair_encode(L, R) is at least L(L + 1)/2, and Cantor pairing
-    increases strictly in each argument, so the left codes L = (x0, x1)
-    with L(L + 1)/2 <= bound and, for each Pythagorean one, the right codes
-    R = (x2, t) in increasing t while the code stays <= bound, are all of
-    them.  That is O(sqrt(bound)) left codes.
+    A code pair_encode(L, R) is at least L(L + 1)/2 > L^2/2, and as
+    x0 + x1 > x2, L = pair_encode(x0, x1) > x2(x2 + 1)/2 > x2^2/2.  So each
+    such code <= bound has x2^4 < 8*bound: it is a code of a multiple, in
+    either leg order, of a primitive triple with hypotenuse at most
+    (8*bound)^(1/4), with R = pair_encode(x2, t) in increasing t while the
+    code stays <= bound (Cantor pairing increases in each argument).
     """
+    from .certificate import generator_pairs
+
     codes = []
-    left = 0
-    while left * (left + 1) // 2 <= bound:
-        x0, x1 = pair_decode(left)
-        squares = x0 * x0 + x1 * x1
-        x2 = math.isqrt(squares)
-        if x0 and x1 and x2 * x2 == squares:
-            t = 0
-            while (v := pair_encode(left, pair_encode(x2, t))) <= bound:
-                codes.append(v)
-                t += 1
-        left += 1
+    # isqrt(isqrt(n)) is the integer fourth root of n.
+    cap = math.isqrt(math.isqrt(8 * bound))
+    for p, q in generator_pairs(cap):
+        a, b, c = 2 * p * q, p * p - q * q, p * p + q * q
+        for d in range(1, cap // c + 1):
+            for left in (pair_encode(d * a, d * b), pair_encode(d * b, d * a)):
+                t = 0
+                while (v := pair_encode(left, pair_encode(d * c, t))) <= bound:
+                    codes.append(v)
+                    t += 1
     return sorted(codes)
 
 

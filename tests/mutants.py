@@ -1,0 +1,211 @@
+"""Mutation checks: each entry changes one piece of text in a temporary copy
+of the repository and runs the tests that must then fail.  A mutant that
+survives shows a line that its tests no longer decide.
+
+    python tests/mutants.py             # every entry
+    python tests/mutants.py cap-8 ...   # the named entries
+
+Each entry replaces exactly one occurrence of its old text (an entry whose
+old text is gone or ambiguous is an error), then runs `pytest -x -q` on its
+test files alone, and is killed when pytest reports a failed test.  An entry
+marked equivalent changes nothing that an input can observe, as its reason
+says; it is checked to apply but not run.  pytest does not collect this
+file, and tier-1 does not run it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+
+Mutant = namedtuple("Mutant", "name file old new tests reason equivalent", defaults=(False,))
+
+CERT = "src/descente/certificate.py"
+FERMAT = "src/descente/fermat.py"
+ENGINE = "src/descente/descent_engine.py"
+ARITH = "src/descente/core_arith.py"
+
+MUTANTS = [
+    Mutant(
+        "search-bound", CERT,
+        "if p * p + q * q <= bound_x2:", "if p * p + q * q < bound_x2:",
+        ("tests/test_certificate.py",),
+        "a pair with e^4 + f^4 equal to the bound is not tested",
+    ),
+    Mutant(
+        "fourth-root-2", CERT,
+        "generator_pairs(math.isqrt(math.isqrt(2 * bound_x2)))",
+        "generator_pairs(math.isqrt(math.isqrt(bound_x2)))",
+        ("tests/test_certificate.py",),
+        "Claim II's hypotenuse cap (2N)^(1/4) without its 2 drops pairs",
+    ),
+    Mutant(
+        "exact-test", CERT,
+        "    if x3 * x3 != half:\n        return []\n", "    return []\n",
+        ("tests/test_fermat.py",),
+        "the exact test never hits; the degenerate pair (1, 0) must",
+    ),
+    Mutant(
+        "drop-found", CERT,
+        "found.extend(scan_generator_block(p, q, bound_x2))",
+        "scan_generator_block(p, q, bound_x2)",
+        ("tests/test_cli.py",),
+        "a planted hit is lost",
+    ),
+    Mutant(
+        "mark-after-hit", CERT,
+        "if cache_path and not found:", "if cache_path:",
+        ("tests/test_cli.py",),
+        "a run that finds a solution marks its bound done",
+    ),
+    Mutant(
+        "multiples-primitive", CERT,
+        "range(1, bound_x2 // x2 + 1)", "range(1, 2)",
+        ("tests/test_fermat.py",),
+        "a hit reports its primitive triple without the multiples",
+    ),
+    Mutant(
+        "cache-strip", CERT,
+        'line.rstrip("\\n")', "line.strip()",
+        ("tests/test_cli.py",),
+        "`upto N ` (a cut-off `upto N done`) reads as a mark",
+    ),
+    Mutant(
+        "cache-unicode-digits", CERT,
+        "number.isascii() and number.isdigit()", "number.isdigit()",
+        ("tests/test_cli.py",),
+        "`upto` in Arabic-Indic digits certifies a bound",
+    ),
+    Mutant(
+        "cache-long-number", CERT,
+        "                    try:\n"
+        "                        last = max(last, int(number))\n"
+        "                    except ValueError:  # more digits than int() converts\n"
+        "                        pass\n",
+        "                    last = max(last, int(number))\n",
+        ("tests/test_cli.py",),
+        "a 5,000-digit mark crashes the search in int()",
+    ),
+    Mutant(
+        "always-not-counterexample", FERMAT,
+        "return not (x0 and x1) or not _solves(x0, x1, *pair_decode(right))", "return True",
+        ("tests/test_fermat.py",),
+        "the fermat predicate holds even on a counterexample",
+    ),
+    Mutant(
+        "cap-8", FERMAT,
+        "math.isqrt(math.isqrt(8 * bound))", "math.isqrt(math.isqrt(bound))",
+        ("tests/test_fermat.py",),
+        "the hypotenuse cap without its 8 loses codes at 10^8 and 10^10, "
+        "though none at or below 300,000",
+    ),
+    Mutant(
+        "skip-every-value", ENGINE,
+        "for v in range(bound + 1) if candidates is None else candidates(bound):",
+        "for v in ():",
+        ("tests/test_descent.py",),
+        "the check loop visits no value",
+    ),
+    Mutant(
+        "weight-kept", ENGINE,
+        "if weight(u) >= weight(v):", "if weight(u) > weight(v):",
+        ("tests/test_descent.py",),
+        "a step that keeps the weight passes",
+    ),
+    Mutant(
+        "start-limit", ENGINE,
+        "if any(v >= START_LIMIT for v in values):", "if any(v > START_LIMIT for v in values):",
+        ("tests/test_cli.py",),
+        "the start 10**2000 is walked",
+    ),
+    Mutant(
+        "12-bases", ARITH,
+        "for a in _SMALL_PRIMES[:13]:", "for a in _SMALL_PRIMES[:12]:",
+        ("tests/test_core_arith.py",),
+        "12 Miller-Rabin bases are not exact below PRIME_LIMIT",
+    ),
+    Mutant(
+        "prime-limit", ARITH,
+        "if p >= PRIME_LIMIT:", "if p > PRIME_LIMIT:",
+        ("tests/test_core_arith.py",),
+        "PRIME_LIMIT itself, a strong pseudoprime, is called prime",
+    ),
+    Mutant(
+        "oracle-left-bound", "tests/oracles.py",
+        "while left * (left + 1) // 2 <= bound:", "while left * (left + 1) // 2 < bound:",
+        (),
+        "the left code L with L(L + 1)/2 = bound has only the code pair(L, 0), "
+        "whose x2 is 0, so it never lists a code",
+        equivalent=True,
+    ),
+]
+
+
+def _mutate(copy: Path, m: Mutant) -> str:
+    """Write m's mutated file into copy and return the original text."""
+    text = (ROOT / m.file).read_text(encoding="utf-8")
+    count = text.count(m.old)
+    if count != 1:
+        raise ValueError(f"{m.name}: old text occurs {count} times in {m.file}")
+    (copy / m.file).write_text(text.replace(m.old, m.new), encoding="utf-8")
+    return text
+
+
+def run(mutants: list[Mutant]) -> bool:
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+                shutil.copytree(source, copy / name, ignore=ignore)
+            else:
+                shutil.copy2(source, copy / name)
+        # No bytecode is written: a mutant of the same size written in the
+        # same second as the source would otherwise load the cached original.
+        env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+        for m in mutants:
+            try:
+                original = _mutate(copy, m)
+            except ValueError as exc:
+                print(f"STALE     {exc}")
+                ok = False
+                continue
+            if m.equivalent:
+                status, seconds = "equivalent", 0.0
+            else:
+                start = time.monotonic()
+                argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+                result = subprocess.run(
+                    [*argv, *m.tests], cwd=copy, env=env,
+                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                )
+                seconds = time.monotonic() - start
+                # pytest exits 1 when a test failed; 0 means the mutant
+                # survived, and anything else (a collection error) decides
+                # nothing.
+                status = {0: "SURVIVED", 1: "killed"}.get(result.returncode, "ERROR")
+                ok = ok and status == "killed"
+            (copy / m.file).write_text(original, encoding="utf-8")
+            print(f"{status:<10} {m.name:<26} {seconds:5.1f}s  {m.reason}", flush=True)
+    return ok
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    return 0 if run([m for m in MUTANTS if not names or m.name in names]) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -119,6 +119,39 @@ def brute_triple_codes(bound: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _cantor_encode(a: int, b: int) -> int:
+    return (a + b) * (a + b + 1) // 2 + b
+
+
+def _cantor_decode(v: int) -> tuple[int, int]:
+    s = (math.isqrt(8 * v + 1) - 1) // 2
+    b = v - s * (s + 1) // 2
+    return s - b, b
+
+
+@lru_cache(maxsize=None)
+def left_code_triple_codes(bound: int) -> tuple[int, ...]:
+    """The codes that brute_triple_codes lists, for bounds too large for it,
+    increasing: every left code L = (x0, x1) with L(L + 1)/2 <= bound is
+    decoded, and for each with a square sum of squares the right codes
+    R = (x2, t) in increasing t while the code stays <= bound.  A code is
+    at least L(L + 1)/2, so no other left code has one; that is
+    O(sqrt(bound)) left codes."""
+    codes = []
+    left = 0
+    while left * (left + 1) // 2 <= bound:
+        x0, x1 = _cantor_decode(left)
+        squares = x0 * x0 + x1 * x1
+        x2 = math.isqrt(squares)
+        if x0 and x1 and x2 * x2 == squares:
+            t = 0
+            while (v := _cantor_encode(left, _cantor_encode(x2, t))) <= bound:
+                codes.append(v)
+                t += 1
+        left += 1
+    return tuple(sorted(codes))
+
+
 def brute_multiples_scan(p: int, q: int, bound_x2: int):
     """Every multiple d*(x0, x1, x2) with d*x2 <= bound_x2 of the triple with
     generators (p, q), legs sorted, whose leg product is twice a square, as

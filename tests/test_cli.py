@@ -168,9 +168,11 @@ def test_search_unwritable_cache_fails_before_any_pair(tmp_path, monkeypatch, ca
         b"12 5 done\n",
         b"upto 100000 done\n",
         b"upto 100000 \n",
+        b"upto " + b"1" * 5000 + b"\n",
+        "upto \u0661\u0660\u0660\u0660\n".encode(),
     ],
     ids=["bad-number", "old-bad-number", "not-utf8", "erow", "row", "p-q", "upto-done",
-         "upto-space"],
+         "upto-space", "too-long", "arabic-indic"],
 )
 def test_search_ignores_unparsable_cache_lines(tmp_path, content):
     cache = tmp_path / "cache.txt"
@@ -335,6 +337,19 @@ def test_descent_vii31_beyond_prime_limit_exits_65(capsys):
     assert capsys.readouterr().err.startswith("precondition failure:")
 
 
+@pytest.mark.parametrize("instance", ["gcd", "pentagon"])
+def test_descent_jsonl_just_below_the_start_limit(instance, capsys):
+    """Every Cantor code of a start below 10**2000 fits in the digits that
+    int() converts to str; 10**2000 itself is rejected before any walk."""
+    top = 10**2000 - 1
+    code, lines = run_cli("descent", instance, str(top), str(top - 1), "--format", "jsonl")
+    assert code == EXIT_OK
+    assert records(lines)[-1]["record"] == "trace"
+    assert run_cli("descent", instance, str(top + 1), "1") == (EXIT_USAGE, [])
+    err = capsys.readouterr().err
+    assert err.endswith("\ndescente: error: start values must be below 10**2000\n")
+
+
 def test_descent_unknown_instance_exits_64():
     code, _ = run_cli("descent", "unknown", "3")
     assert code == EXIT_USAGE
@@ -474,6 +489,10 @@ def test_unknown_command_exits_64():
         "check rd gcd 3001",
         f"check id fermat {10**11 + 1}",
         f"check idprime walsh {10**11 + 1}",
+        pytest.param(
+            f"descent gcd {10**2999} {10**2999 + 1} --format jsonl",
+            id="descent gcd 10**2999 10**2999+1 --format jsonl",
+        ),
     ],
 )
 def test_usage_error_prints_usage_and_one_error_line(argv, capsys):

@@ -84,16 +84,18 @@ def test_check_id_always_true_predicate():
 
 
 def test_check_id_detects_weight_increase():
-    inst = DescentInstance(
-        "bad-weight",
-        predicate=lambda v: v != 5,
-        weight=lambda v: v,
-        step=lambda v: 7 if v == 5 else None,
-    )
-    report = check_id(inst, 10)
-    assert not report.ok
-    assert all(f.value == 5 for f in report.failures)
-    assert "weight-not-decreased" in {f.kind for f in report.failures}
+    # A step to a larger weight, and one that keeps the weight.
+    for target in (7, 5):
+        inst = DescentInstance(
+            "bad-weight",
+            predicate=lambda v: v != 5,
+            weight=lambda v: v,
+            step=lambda v: target if v == 5 else None,
+        )
+        report = check_id(inst, 10)
+        assert not report.ok
+        assert all(f.value == 5 for f in report.failures)
+        assert "weight-not-decreased" in {f.kind for f in report.failures}
 
 
 def test_check_id_detects_undefined_step_and_bad_target():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from descente.certificate import generator_pairs
 from descente.core_arith import coprime
 from descente.diophantine import (
     Generators,
@@ -15,7 +16,6 @@ from descente.diophantine import (
     decompose_two_square,
     frenicle_xxxviii,
     generate_triple,
-    primitive_triples_up_to,
 )
 from descente.errors import DomainError, NonPrimitiveError
 
@@ -136,8 +136,8 @@ def test_parametrization_five_equations_up_to_1000():
         assert (p + q) % 2 == 1 and p > q
 
 
-def test_primitive_triples_up_to_enumeration():
-    got = {(t.x0, t.x1, t.x2) for t, _ in primitive_triples_up_to(300)}
+def test_generator_pairs_enumerate_the_primitive_triples():
+    got = {tuple(generate_triple(Generators(0, p, q))) for p, q in generator_pairs(300)}
     want = {(x0, x1, x2) for x0, x1, x2 in brute_primitive_triples(300) if x0 % 2 == 0}
     assert got == want
     assert (4, 3, 5) in got

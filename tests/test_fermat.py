@@ -1,6 +1,7 @@
 """The square-area theorem surface: counterexample predicate, claim chain,
 descent wiring, and the exhaustive searches with their oracle."""
 
+import bisect
 import math
 import os
 import re
@@ -358,6 +359,22 @@ def test_fermat_candidates_are_the_brute_triple_codes():
         assert len(oracle) == counts.get(bound, len(oracle))
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 10**10))
+@example(10**6)
+@example(10**8)
+@example(10**10)
+def test_fermat_candidates_are_the_left_code_walk(bound):
+    """The candidates walk generator_pairs under a hypotenuse cap; the
+    oracle walks every left code.  They agree where a cap without its
+    factor 8 would lose codes (10^8 and 10^10), not only below 300,000."""
+    from .oracles import left_code_triple_codes
+
+    codes = left_code_triple_codes(10**10)
+    oracle = list(codes[: bisect.bisect_right(codes, bound)])
+    assert fermat._not_counterexample.candidates(bound) == oracle
+
+
 def test_check_without_the_area_conjunct_fails_at_exactly_the_triple_codes(monkeypatch):
     """With the area conjunct dropped, the predicate fails on every triple
     code, and the check over its candidates reports each one, in order."""
@@ -400,8 +417,15 @@ def test_scan_generator_block_agrees_with_multiples_oracle_at_1e5():
     from .oracles import brute_multiples_scan
 
     bound = 10**5
-    for p, q in generator_pairs(bound):
-        assert scan_generator_block(p, q, bound) == brute_multiples_scan(p, q, bound)
+    hits = []
+    # (1, 0) is no generator pair, but its half leg product 0 is a square:
+    # its block is every (0, d, d, 0), the multiples of the degenerate
+    # solution (0, 1, 1, 0), so the exact test's hit path runs too.
+    for p, q in [(1, 0), *generator_pairs(bound)]:
+        block = scan_generator_block(p, q, bound)
+        assert block == brute_multiples_scan(p, q, bound)
+        hits += block
+    assert hits
 
 
 def _twice_a_square(n: int) -> bool:
