@@ -149,7 +149,7 @@ def search(
         raise DomainError("bound must be >= 1")
     if bound_x2 > MAX_BOUND:
         raise DomainError(f"bound must be <= {MAX_BOUND}")
-    if cache_path:
+    if cache_path is not None:
         if _load_cache(cache_path) >= bound_x2:
             return []
         # Fail now, not after the search, if the mark could not be appended;
@@ -167,7 +167,7 @@ def search(
         p, q = e * e, f * f
         if p * p + q * q <= bound_x2:
             found.extend(scan_generator_block(p, q, bound_x2))
-    if cache_path and not found:
+    if cache_path is not None and not found:
         with open(cache_path, "a", encoding="utf-8") as cache:
             # A cut-off last line must not merge with the new mark.
             cache.write(("\n" if _ends_mid_line(cache_path) else "") + f"upto {bound_x2}\n")

@@ -1,12 +1,12 @@
 """Command-line surface: triples, search, descent, check, decompose.
 
-This module holds only the command table, the parser, usage, help and main.
-Each command's body lives beside the layer it drives (cmd_search in
-certificate, cmd_triples and cmd_decompose in diophantine, cmd_descent and
-cmd_check in descent_engine), and main imports that module when the command
-runs, so a command compiles no other command's code.  No package module
-imports this one: under `python -m descente.cli` it runs as __main__, and an
-import would compile it a second time.
+This module holds only the command table, the parser, usage, help, main
+and run, the process entry.  Each command's body lives beside the layer it
+drives (cmd_search in certificate, cmd_triples and cmd_decompose in
+diophantine, cmd_descent and cmd_check in descent_engine), and main imports
+that module when the command runs, so a command compiles no other command's
+code.  No package module imports this one: under `python -m descente.cli`
+it runs as __main__, and an import would compile it a second time.
 
 The exit codes live in descente.errors.  JSON-lines output is UTF-8, one
 flat object per line, keys in fixed order, written by descente.jsonl.
@@ -14,6 +14,7 @@ flat object per line, keys in fixed order, written by descente.jsonl.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from .errors import EXIT_OK, EXIT_USAGE, DomainError, UsageError
@@ -144,5 +145,17 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> int:
+    """The process entry of `python -m descente.cli` and of the `descente`
+    script: main's exit code, after gc.freeze() has moved every live object
+    to the permanent generation.  The collections that the interpreter runs
+    at exit then have nothing to traverse; the atexit handlers, the flush of
+    stdio and module teardown run as before.  main itself leaves the
+    collector alone, for callers in the same process."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -27,6 +27,7 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md")
 
 Mutant = namedtuple("Mutant", "name file old new tests reason equivalent", defaults=(False,))
 
+CLI = "src/descente/cli.py"
 CERT = "src/descente/certificate.py"
 FERMAT = "src/descente/fermat.py"
 ENGINE = "src/descente/descent_engine.py"
@@ -61,9 +62,15 @@ MUTANTS = [
     ),
     Mutant(
         "mark-after-hit", CERT,
-        "if cache_path and not found:", "if cache_path:",
+        "if cache_path is not None and not found:", "if cache_path is not None:",
         ("tests/test_cli.py",),
         "a run that finds a solution marks its bound done",
+    ),
+    Mutant(
+        "empty-cache-path", CERT,
+        "if cache_path is not None:\n", "if cache_path:\n",
+        ("tests/test_cli.py",),
+        "`--cache ''` searches before its path fails",
     ),
     Mutant(
         "multiples-primitive", CERT,
@@ -92,6 +99,12 @@ MUTANTS = [
         "                    last = max(last, int(number))\n",
         ("tests/test_cli.py",),
         "a 5,000-digit mark crashes the search in int()",
+    ),
+    Mutant(
+        "no-freeze", CLI,
+        "    gc.freeze()\n", "",
+        ("tests/test_certificate.py",),
+        "the process entry leaves the heap to the collections at exit",
     ),
     Mutant(
         "always-not-counterexample", FERMAT,

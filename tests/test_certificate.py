@@ -234,9 +234,11 @@ def test_no_package_module_imports_json():
     assert importers == []
 
 
-# One argv per command, in each format it has.  No package module imports
-# descente.cli, which `python -m descente.cli` runs as __main__: such an
-# import would compile it a second time.
+# One argv per command, in each format it has, and one usage error.  No
+# package module imports descente.cli, which `python -m descente.cli` runs
+# as __main__: such an import would compile it a second time.  Its process
+# entry raises SystemExit with main's exit code after freezing the
+# collector's heap, and the atexit handlers still run.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -249,11 +251,13 @@ def test_no_package_module_imports_json():
         "triples 30 --format jsonl",
         "descent gcd 12 9 --format jsonl",
         "check rd gcd 50 --format jsonl",
+        "search --bound 0",
     ],
 )
 def test_running_the_cli_as_main_never_imports_it(argv):
     proc = _python(
-        "import io, runpy, sys\n"
+        "import atexit, gc, io, runpy, sys\n"
+        "atexit.register(print, 'atexit')\n"
         f"sys.argv = ['descente', *{argv.split()!r}]\n"
         "sys.stdout = io.StringIO()\n"
         "try:\n"
@@ -261,11 +265,12 @@ def test_running_the_cli_as_main_never_imports_it(argv):
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
         "sys.stdout = sys.__stdout__\n"
-        "print(code, 'descente.cli' in sys.modules)\n",
+        "print(code, 'descente.cli' in sys.modules, gc.get_freeze_count() > 0)\n",
         "-S",
     )
     out, err = proc.communicate(timeout=60)
-    assert out.splitlines() == ["0 False"], err
+    code = 64 if argv == "search --bound 0" else 0
+    assert out.splitlines() == [f"{code} False True", "atexit"], err
 
 
 def test_huge_bound_search_runs_in_bounded_memory():

@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, cache resume."""
 
+import gc
 import io
 import json
 import re
@@ -117,6 +118,8 @@ def test_triples_above_the_limit_exits_64_before_any_pair(monkeypatch, capsys):
 def test_search_bound_500_jsonl():
     code, lines = run_cli("search", "--bound", "500", "--format", "jsonl")
     assert code == EXIT_OK
+    # Only the process entry, cli.run, freezes the collector's heap.
+    assert gc.get_freeze_count() == 0
     assert list(json.loads(lines[-1]).keys()) == ["record", "bound", "count", "elapsed"]
     recs = records(lines)
     assert recs == [{"record": "footer", "bound": 500, "count": 0}]
@@ -135,8 +138,10 @@ def test_search_resume_identical_footer(tmp_path):
 
 
 def test_search_unwritable_cache_exits_1(tmp_path):
-    code, _ = run_cli("search", "--bound", "100", "--cache", str(tmp_path / "no" / "c.txt"))
-    assert code == EXIT_IO
+    # An empty path names no file that can be appended to.
+    for cache in (str(tmp_path / "no" / "c.txt"), ""):
+        code, _ = run_cli("search", "--bound", "100", "--cache", cache)
+        assert code == EXIT_IO, cache
 
 
 def test_search_unwritable_cache_fails_before_any_pair(tmp_path, monkeypatch, capsys):
@@ -144,10 +149,10 @@ def test_search_unwritable_cache_fails_before_any_pair(tmp_path, monkeypatch, ca
 
     tested = []
     monkeypatch.setattr(certificate, "scan_generator_block", lambda *a: tested.append(a) or [])
-    cache = str(tmp_path / "no" / "c.txt")
-    assert run_cli("search", "--bound", str(10**24), "--cache", cache) == (EXIT_IO, [])
-    assert capsys.readouterr().err.startswith("cache error: ")
-    assert tested == []
+    for cache in (str(tmp_path / "no" / "c.txt"), ""):
+        assert run_cli("search", "--bound", str(10**24), "--cache", cache) == (EXIT_IO, [])
+        assert capsys.readouterr().err.startswith("cache error: ")
+        assert tested == []
     # A writable path leaves no file behind while the search runs.
     cache = tmp_path / "c.txt"
     monkeypatch.setattr(
