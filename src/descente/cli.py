@@ -15,9 +15,10 @@ flat object per line, keys in fixed order, written by descente.jsonl.
 from __future__ import annotations
 
 import gc
+import os
 import sys
 
-from .errors import EXIT_OK, EXIT_USAGE, DomainError, UsageError
+from .errors import EXIT_IO, EXIT_OK, EXIT_USAGE, DomainError, UsageError
 
 REQUIRED = object()
 CHOICES = (tuple, dict)
@@ -151,8 +152,25 @@ def run() -> int:
     to the permanent generation.  The collections that the interpreter runs
     at exit then have nothing to traverse; the atexit handlers, the flush of
     stdio and module teardown run as before.  main itself leaves the
-    collector alone, for callers in the same process."""
-    code = main()
+    collector alone, for callers in the same process.
+
+    An OSError from main, or from the flush of stdout after it, is a failed
+    write of the output (a full disk, a closed pipe): cmd_search turns the
+    cache's own errors into `cache error:`, so only output writes reach here.
+    It prints one `write error:` line and returns EXIT_IO, whether stdout is
+    buffered or not.  fd 1 then points at os.devnull, so that the flush at
+    interpreter exit finds no failing stream."""
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"write error: {exc}", file=sys.stderr)
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # a stdout with no file descriptor
+            pass
+        code = EXIT_IO
     gc.freeze()
     return code
 

@@ -172,10 +172,6 @@ class Factorization(namedtuple("Factorization", "factors")):
                 raise DomainError(f"{p} is not prime")
         return tuple.__new__(cls, (factors,))
 
-    @property
-    def value(self) -> int:
-        return math.prod(p**e for p, e in self.factors)
-
 
 def factorize(x: int) -> Factorization:
     """Canonical factorization; factorize(1) is empty."""

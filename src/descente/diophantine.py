@@ -11,7 +11,7 @@ import sys
 from collections import namedtuple
 
 from .core_arith import check_natural, common_prime_witness, coprime
-from .errors import EXIT_OK, EXIT_PRECONDITION, DomainError, NonPrimitiveError, UsageError
+from .errors import EXIT_OK, EXIT_PRECONDITION, DomainError, UsageError
 
 # The largest max_x2 triples accepts.  Its rows grow as max_x2 log max_x2:
 # 10^5 prints 161,436 rows in 2-3 s as a subprocess, the first after about
@@ -33,9 +33,6 @@ class PythTriple(namedtuple("PythTriple", "x0 x1 x2")):
         if x0**2 + x1**2 != x2**2:
             raise DomainError(f"({x0}, {x1}, {x2}) is not a Pythagorean triple")
         return tuple.__new__(cls, (x0, x1, x2))
-
-    def legs(self) -> tuple[int, int]:
-        return self.x0, self.x1
 
     def is_primitive(self) -> bool:
         return coprime([self.x0, self.x1, self.x2])
@@ -82,9 +79,7 @@ def decompose_primitive_triple(t: PythTriple) -> Generators:
         raise DomainError("the zero triple has no generators")
     if not t.is_primitive():
         z = common_prime_witness([t.x0, t.x1, t.x2])
-        raise NonPrimitiveError(
-            f"({t.x0}, {t.x1}, {t.x2}) shares the prime factor {z}", z
-        )
+        raise DomainError(f"({t.x0}, {t.x1}, {t.x2}) shares the prime factor {z}")
     i, a, b = decompose_sum_of_squares(t)
     p = exact_sqrt(a)
     q = exact_sqrt(b)
@@ -111,7 +106,7 @@ def frenicle_xxxviii(t: PythTriple, v: int) -> tuple[int, int]:
     if even_leg != v * v:
         raise DomainError(f"even leg {even_leg} is not {v}^2")
     # 2pq == v^2 with p, q coprime: split {p, q} as {2m^2, k^2}.
-    m, k, _ = split_coprime_double_square(2, g.p, g.q, v)
+    m, k = split_coprime_double_square(2, g.p, g.q, v)
     assert (2 * m**2) ** 2 + (k**2) ** 2 == t.x2
     assert (m == 0) == (even_leg == 0)
     return m, k
@@ -139,8 +134,8 @@ def decompose_primitive_two_square(x0: int, x1: int, x2: int) -> tuple[int, int]
     a, b = decompose_two_square(x0, x1, x2)
     if not coprime([x0, x1, x2]):
         z = common_prime_witness([x0, x1, x2])
-        raise NonPrimitiveError(f"({x0}, {x1}, {x2}) shares the prime factor {z}", z)
-    m, k, _ = split_coprime_double_square(2, a, b, x1)
+        raise DomainError(f"({x0}, {x1}, {x2}) shares the prime factor {z}")
+    m, k = split_coprime_double_square(2, a, b, x1)
     assert 2 * m**2 != k**2
     assert x0 == abs(2 * m**2 - k**2) and x1 == 2 * m * k and x2 == 2 * m**2 + k**2
     return m, k

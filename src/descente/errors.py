@@ -2,7 +2,8 @@
 
 Exit codes are stable and documented:
   0   success (and, for `search`, theorem upheld: nothing found)
-  1   I/O error (for example an unwritable cache path)
+  1   I/O error: an unwritable cache path, or a failed write of the output
+      (`write error: ...` on stderr, whether stdout is buffered or not)
   2   `search` found a counterexample (a bug by theorem; CI must fail loudly)
   64  usage error (unknown command, instance, or malformed arguments)
   65  precondition failure in `decompose` or `descent` (valid numbers,
@@ -18,17 +19,6 @@ EXIT_PRECONDITION = 65
 
 class DomainError(ValueError):
     """An operation was called outside its stated precondition."""
-
-
-class NonPrimitiveError(DomainError):
-    """A primitive-triple operation received a non-primitive triple.
-
-    Carries the least common prime so callers can reduce by it.
-    """
-
-    def __init__(self, message, common_prime):
-        super().__init__(message)
-        self.common_prime = common_prime
 
 
 class UsageError(Exception):

@@ -38,9 +38,6 @@ class CandidateSolution(namedtuple("CandidateSolution", "x0 x1 x2 x3")):
 
     __slots__ = ()
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return self.x0, self.x1, self.x2, self.x3
-
 
 class ClaimIData(namedtuple("ClaimIData", "p q c e f")):
     """First waypoint of the descent: the generators are squares and their
@@ -228,7 +225,7 @@ def walsh_state_weight(e: int, f: int) -> int:
 
 
 def encode_candidate(c: CandidateSolution) -> int:
-    return quad_encode(*c.as_tuple())
+    return quad_encode(*c)
 
 
 def decode_candidate(v: int) -> CandidateSolution:

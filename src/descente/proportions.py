@@ -44,10 +44,6 @@ class ContinuedProportion(tuple):
                 )
         return tuple.__new__(cls, terms)
 
-    @property
-    def terms(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def __repr__(self) -> str:
         return f"ContinuedProportion(terms={tuple(self)!r})"
 
@@ -90,7 +86,7 @@ def scale_between(xs: ContinuedProportion, ys: ContinuedProportion) -> int:
     # Coprime endpoints of xs guarantee k exists; with them absent the scale
     # is still returned whenever it happens to be uniform (identity included).
     k, rem = divmod(ys[0], xs[0])
-    if rem != 0 or k == 0 or any(k * a != b for a, b in zip(xs.terms, ys.terms)):
+    if rem != 0 or k == 0 or any(k * a != b for a, b in zip(xs, ys)):
         raise DomainError("no uniform positive scale exists")
     return k
 
@@ -106,7 +102,7 @@ def normal_form(xs: ContinuedProportion) -> NormalForm:
     if rem != 0:
         raise DomainError("terms do not admit a geometric normal form")
     nf = NormalForm(k=k, y=y, z=z, n=n)
-    if nf.reconstruct().terms != xs.terms:
+    if nf.reconstruct() != xs:
         raise DomainError("terms do not admit a geometric normal form")
     return nf
 
@@ -141,13 +137,10 @@ def coprime_side_with_prime(p: int, a: int, b: int) -> int:
     return 2
 
 
-def split_coprime_double_square(
-    p: int, a: int, b: int, v: int
-) -> tuple[int, int, str]:
+def split_coprime_double_square(p: int, a: int, b: int, v: int) -> tuple[int, int]:
     """Given prime p, coprime a, b with p*a*b == v*v, split {a, b} as {p*m*m, k*k}.
 
-    Returns (m, k, which) with p*m and k coprime; `which` is "a" or "b",
-    naming the input that carries p*m*m.
+    Returns (m, k) with p*m and k coprime.
     """
     check_natural(p, a, b, v)
     if not is_prime(p):
@@ -157,9 +150,8 @@ def split_coprime_double_square(
     if p * a * b != v * v:
         raise DomainError(f"{p}*{a}*{b} != {v}^2")
     # p*a*b is a square, so the prime p divides a*b: one of the coprime a, b.
-    which, pm2, k2 = ("a", a, b) if a % p == 0 else ("b", b, a)
-    m, k = split_coprime_square(pm2 // p, k2, v // p)
-    return m, k, which
+    pm2, k2 = (a, b) if a % p == 0 else (b, a)
+    return split_coprime_square(pm2 // p, k2, v // p)
 
 
 def split_sum_diff_square(p: int, q: int, c: int) -> tuple[int, int]:

@@ -107,6 +107,20 @@ MUTANTS = [
         "the process entry leaves the heap to the collections at exit",
     ),
     Mutant(
+        "no-output-flush", CLI,
+        "        if sys.stdout is not None:  # None when the process started with fd 1 closed\n"
+        "            sys.stdout.flush()\n",
+        "",
+        ("tests/test_cli.py",),
+        "a buffered write that fails at exit ends in `Exception ignored` and exit 120",
+    ),
+    Mutant(
+        "no-devnull-redirect", CLI,
+        "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", "pass",
+        ("tests/test_cli.py",),
+        "the flush at exit retries the failed write and prints a second message",
+    ),
+    Mutant(
         "always-not-counterexample", FERMAT,
         "return not (x0 and x1) or not _solves(x0, x1, *pair_decode(right))", "return True",
         ("tests/test_fermat.py",),

@@ -3,7 +3,10 @@
 import gc
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,9 @@ from descente.errors import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
 )
+
+
+SRC = str(Path(__file__).parents[1] / "src")
 
 
 def run_cli(*argv: str):
@@ -557,3 +563,58 @@ def test_search_bound_equals_value_and_no_option_prefix():
 
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_IO, EXIT_COUNTEREXAMPLE, EXIT_USAGE, EXIT_PRECONDITION}) == 5
+
+
+# ---------------------------------------------------------------------------
+# a failed write of the output
+
+
+def _child_env(unbuffered: bool) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize(
+    "argv",
+    [("search", "--bound", "10"), ("descent", "gcd", "89", "55"), ("triples", "100000")],
+    ids=" ".join,
+)
+def test_a_failed_write_of_the_output_exits_1_with_one_line(argv, sink, unbuffered):
+    """A full device or a pipe with no reader exits 1 with one `write error:`
+    line and no traceback, whether stdout is buffered (the error comes from
+    the flush after main) or not (it comes from a print inside the command)."""
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full on this system")
+        stdout = os.open(sink, os.O_WRONLY)
+    else:
+        read, stdout = os.pipe()
+        os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "descente.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, env=_child_env(unbuffered), text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("write error: "), lines
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_is_not_a_write_error(unbuffered):
+    """Started with fd 1 closed, the process has no sys.stdout: print writes
+    nothing and run has nothing to flush, so search exits 0 in silence."""
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m descente.cli search --bound 10 >&-', sys.executable],
+        stderr=subprocess.PIPE, env=_child_env(unbuffered), text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")

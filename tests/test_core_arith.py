@@ -221,7 +221,7 @@ def test_factorize_fermat_number():
 def test_factorization_value_round_trip():
     for x in range(1, 2000):
         f = factorize(x)
-        assert f.value == x
+        assert math.prod(p**e for p, e in f.factors) == x
         primes = [p for p, _ in f.factors]
         assert primes == sorted(primes) and len(set(primes)) == len(primes)
         assert all(brute_is_prime(p) for p in primes)
@@ -262,7 +262,8 @@ def test_factorize_does_not_prove_its_primes_again(monkeypatch):
     monkeypatch.setattr(core_arith, "is_prime", lambda p: calls.append(p) or real(p))
     for n in range(2, 501):
         f = factorize(n)
-        assert f.value == n and f == core_arith.Factorization(f.factors)
+        assert math.prod(p**e for p, e in f.factors) == n
+        assert f == core_arith.Factorization(f.factors)
     calls.clear()
     # Trial division proves the factors below 1024**2 without is_prime;
     # rho certifies each large factor once.

@@ -17,7 +17,7 @@ from descente.diophantine import (
     frenicle_xxxviii,
     generate_triple,
 )
-from descente.errors import DomainError, NonPrimitiveError
+from descente.errors import DomainError
 
 from .oracles import (
     brute_primitive_triples,
@@ -73,7 +73,7 @@ def test_decompose_sum_of_squares_exhaustive():
     for x0, x1, x2 in brute_triples(300, include_zero_legs=True):
         t = PythTriple(x0, x1, x2)
         i, a, b = decompose_sum_of_squares(t)
-        legs = t.legs()
+        legs = (t.x0, t.x1)
         assert legs[i] % 2 == 0
         assert a >= b
         assert a + b == x2
@@ -90,12 +90,10 @@ def test_decompose_primitive_triple_examples():
 
 
 def test_decompose_primitive_triple_nonprimitive_carries_witness():
-    with pytest.raises(NonPrimitiveError) as exc:
+    with pytest.raises(DomainError, match="shares the prime factor 3"):
         decompose_primitive_triple(PythTriple(9, 12, 15))
-    assert exc.value.common_prime == 3
-    with pytest.raises(NonPrimitiveError) as exc:
+    with pytest.raises(DomainError, match="shares the prime factor 2"):
         decompose_primitive_triple(PythTriple(6, 8, 10))
-    assert exc.value.common_prime == 2
 
 
 def test_generate_triple_examples():
@@ -148,7 +146,7 @@ def test_frenicle_examples():
     assert frenicle_xxxviii(PythTriple(1, 0, 1), 0) == (0, 1)
     with pytest.raises(DomainError):
         frenicle_xxxviii(PythTriple(4, 3, 5), 3)  # even leg is not 9
-    with pytest.raises(NonPrimitiveError):
+    with pytest.raises(DomainError, match="shares the prime factor 2"):
         frenicle_xxxviii(PythTriple(6, 8, 10), 0)
 
 
@@ -196,7 +194,7 @@ def test_decompose_primitive_two_square_examples():
     assert decompose_primitive_two_square(1, 2, 3) == (1, 1)
     assert decompose_primitive_two_square(7, 4, 9) == (2, 1)
     assert decompose_primitive_two_square(1, 0, 1) == (0, 1)
-    with pytest.raises(NonPrimitiveError):
+    with pytest.raises(DomainError, match="shares the prime factor 2"):
         decompose_primitive_two_square(2, 4, 6)
 
 

@@ -60,7 +60,7 @@ def test_is_counterexample_examples():
 
 
 def test_degenerate_solutions_exact():
-    got = {c.as_tuple() for c in degenerate_solutions()}
+    got = {tuple(c) for c in degenerate_solutions()}
     assert got == {(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)}
 
 
@@ -75,7 +75,7 @@ def test_degenerate_solutions_against_brute_force_to_10():
                         continue
                     if (x0, x1, x2) == (0, 0, 0) or coprime([x0, x1, x2]):
                         found.add((x0, x1, x2, x3))
-    assert found == {c.as_tuple() for c in degenerate_solutions()}
+    assert found == {tuple(c) for c in degenerate_solutions()}
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ def test_run_descent_fermat_trivially_holds():
 
 def test_candidate_encoding_round_trip():
     for t in ((0, 0, 0, 0), (3, 4, 5, 1), (20, 99, 101, 30)):
-        assert decode_candidate(encode_candidate(CandidateSolution(*t))).as_tuple() == t
+        assert tuple(decode_candidate(encode_candidate(CandidateSolution(*t)))) == t
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,7 @@ def test_exhaustive_search_empty_at_100_and_300():
 def test_exhaustive_search_agrees_with_naive_at_300():
     from .oracles import naive_exhaustive_search
 
-    assert [c.as_tuple() for c in exhaustive_search(300)] == naive_exhaustive_search(300)
+    assert [tuple(c) for c in exhaustive_search(300)] == naive_exhaustive_search(300)
 
 
 def test_scan_generator_block_agrees_with_multiples_oracle_at_1e5():
@@ -450,7 +450,7 @@ def test_exhaustive_search_zeros_admitted():
     # Once zero legs are admitted, the degenerate set is all there is.
     from .oracles import naive_exhaustive_search
 
-    got = sorted(c.as_tuple() for c in degenerate_solutions())
+    got = sorted(tuple(c) for c in degenerate_solutions())
     assert got == [(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)]
     assert got == naive_exhaustive_search(10, allow_zero=True)
     # stable under larger bounds too
