@@ -9,8 +9,9 @@ a primitive triple.  So search gives the exact test of scan_generator_block
 to those pairs (e^2, f^2) with e^4 + f^4 <= N alone: about N^(1/4)/5.8
 pairs instead of about N/2pi.
 
-This module imports nothing from the package but its errors, and the JSONL
-writer for `--format jsonl`, so that `descente search` loads nothing else.
+This module imports nothing from the package but the package module's
+errors and exit codes, and the JSONL writer for `--format jsonl`, so that
+`descente search` loads nothing else.
 It also holds that command's body, cmd_search, and its records.
 """
 
@@ -21,7 +22,7 @@ import os
 import sys
 import time
 
-from .errors import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, DomainError
+from . import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, DomainError
 
 # The largest bound search accepts.  Its work grows as sqrt(sqrt(bound)):
 # 10^28 tests 1,725,872 pairs in about 5 s as a subprocess, with a peak RSS

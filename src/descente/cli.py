@@ -8,8 +8,9 @@ that module when the command runs, so a command compiles no other command's
 code.  No package module imports this one: under `python -m descente.cli`
 it runs as __main__, and an import would compile it a second time.
 
-The exit codes live in descente.errors.  JSON-lines output is UTF-8, one
-flat object per line, keys in fixed order, written by descente.jsonl.
+The exit codes live in the package module, descente.  JSON-lines output
+is UTF-8, one flat object per line, keys in fixed order, written by
+descente.jsonl.
 """
 
 from __future__ import annotations
@@ -18,18 +19,16 @@ import gc
 import os
 import sys
 
-from .errors import EXIT_IO, EXIT_OK, EXIT_USAGE, DomainError, UsageError
+from . import EXIT_IO, EXIT_OK, EXIT_USAGE, DomainError, UsageError
 
 REQUIRED = object()
-CHOICES = (tuple, dict)
 FORMAT = {"--format": (("text", "jsonl"), "text", "text or jsonl (default: text)")}
 
 # Each command: the module whose cmd_<command> runs it, which takes its
 # positionals and then its options in this order, and then out; its help
 # line; its positionals as (name, type or choices), where list takes every
-# remaining value as an int and a dict of choices gives each choice the
-# number of values that it takes; and its options as name: (type or
-# choices, default, help line), where bool makes a flag.
+# remaining value as an int; and its options as name: (type or choices,
+# default, help line), where bool makes a flag.
 COMMANDS = {
     "triples": ("diophantine", "enumerate Pythagorean triples", [("max_x2", int)],
                 {"--primitive-only": (bool, False, "primitive triples only"), **FORMAT}),
@@ -41,13 +40,13 @@ COMMANDS = {
     "check": ("descent_engine", "bounded schema-obligation check",
               [("schema", ("id", "rd", "idprime")), ("instance", str), ("bound", int)], FORMAT),
     "decompose": ("diophantine", "triple / two-square / frenicle decompositions",
-                  [("kind", {"triple": 3, "two-square": 3, "frenicle": 4}), ("values", list)],
+                  [("kind", ("triple", "two-square", "frenicle")), ("values", list)],
                   {}),
 }
 
 
 def _metavar(name: str, kind) -> str:
-    if isinstance(kind, CHOICES):
+    if isinstance(kind, tuple):
         return "{" + ",".join(kind) + "}"
     return f"[{name} ...]" if kind is list else name.lstrip("-").upper() if name[0] == "-" else name
 
@@ -77,11 +76,11 @@ def help_text(command: str | None) -> str:
 
 
 def _convert(name: str, kind, value: str):
-    if isinstance(kind, CHOICES) and value not in kind:
+    if isinstance(kind, tuple) and value not in kind:
         choices = ", ".join(map(repr, kind))
         raise UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
     try:
-        return value if isinstance(kind, CHOICES) else kind(value)
+        return value if isinstance(kind, tuple) else kind(value)
     except ValueError:
         raise UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
 
@@ -89,8 +88,7 @@ def _convert(name: str, kind, value: str):
 def parse(argv: list[str]) -> list | None:
     """The arguments of argv's command in COMMANDS order, or None if argv
     asks for help.  An option's value follows it as `--opt value` or
-    `--opt=value`; an unknown option makes it and all after it unrecognized.
-    A positional with a dict of choices fixes the count of the list after it."""
+    `--opt=value`; an unknown option makes it and all after it unrecognized."""
     if not argv:
         raise UsageError("the following arguments are required: command")
     if "-h" in argv or "--help" in argv:
@@ -122,9 +120,6 @@ def parse(argv: list[str]) -> list | None:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     if values or unknown:
         raise UsageError(f"unrecognized arguments: {' '.join(values + unknown)}")
-    for (name, kind), (rest, _) in zip(positionals, positionals[1:]):
-        if isinstance(kind, dict) and len(args[rest]) != kind[args[name]]:
-            raise UsageError(f"{argv[0]} {args[name]} takes {kind[args[name]]} values")
     return list(args.values())
 
 

@@ -12,7 +12,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .errors import DomainError
+from . import DomainError
 
 
 def check_natural(*values: int) -> None:

@@ -17,7 +17,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 
-from .errors import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_PRECONDITION, DomainError, UsageError
+from . import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_PRECONDITION, DomainError, UsageError
 
 Predicate = Callable[[int], bool]
 Weight = Callable[[int], int]
@@ -547,65 +547,58 @@ def walk_to_base(inst: ReductionDescentInstance, name: str) -> DescentInstance:
 # instance registry and the descent and check commands
 
 
-class _Instance:
-    """A named instance: its start-value count, a trace factory taking the
-    start values to (instance, encoded start), and per schema the largest
-    bound its check accepts and a report factory taking the bound."""
+def _fermat_trace(values: list[int]) -> tuple[object, int]:
+    from .fermat import CandidateSolution, encode_candidate, fermat_instance
 
-    __slots__ = ("arity", "trace", "checks")
-
-    def __init__(self, arity: int, trace, checks: dict):
-        self.arity, self.trace, self.checks = arity, trace, checks
+    return fermat_instance(), encode_candidate(CandidateSolution(*values))
 
 
-def instances() -> dict[str, _Instance]:
-    """The registry of named instances, keyed by name.  Only the fermat and
-    walsh entries import descente.fermat, when they run.
+def _fermat_id(bound: int):
+    from .fermat import fermat_instance
 
-    Each check's limit keeps it to a few seconds as a subprocess (Python
-    3.11, 2 CPUs): 2*10**7 for vii31 takes about 1.1 s, and 3,000 for the
-    gcd side 1.2-1.5 s.  The fermat and walsh checks grow as the square
-    root of the bound: 10**11 takes 1.6-2.4 s, and 10**12 about 7-8 s."""
+    return check_id(fermat_instance(), bound)
 
-    def fermat_trace(values: list[int]) -> tuple[object, int]:
-        from .fermat import CandidateSolution, encode_candidate, fermat_instance
 
-        return fermat_instance(), encode_candidate(CandidateSolution(*values))
+def _walsh_trace(values: list[int]) -> tuple[object, int]:
+    from .fermat import CandidateSolution, encode_walsh_candidate, walsh_trace_instance
 
-    def fermat_id(bound: int):
-        from .fermat import fermat_instance
+    return walsh_trace_instance(), encode_walsh_candidate(CandidateSolution(*values))
 
-        return check_id(fermat_instance(), bound)
 
-    def walsh_trace(values: list[int]) -> tuple[object, int]:
-        from .fermat import CandidateSolution, encode_walsh_candidate, walsh_trace_instance
+def _walsh_idprime(bound: int):
+    from .fermat import walsh_family
 
-        return walsh_trace_instance(), encode_walsh_candidate(CandidateSolution(*values))
+    return check_id_prime(walsh_family(), bound)
 
-    def walsh_idprime(bound: int):
-        from .fermat import walsh_family
 
-        return check_id_prime(walsh_family(), bound)
-
-    return {
-        "pentagon": _Instance(2, lambda v: (pentagon_instance(), pair_encode(*v)), {}),
-        "vii31": _Instance(
-            1,
-            lambda v: (walk_to_base(vii31_rd_instance(), "vii31"), v[0]),
-            {
-                "id": (2 * 10**7, lambda bound: check_id(vii31_instance(), bound)),
-                "rd": (2 * 10**7, lambda bound: check_rd(vii31_rd_instance(), bound)),
-            },
-        ),
-        "gcd": _Instance(
-            2,
-            lambda v: (walk_to_base(gcd_instance(), "gcd"), pair_encode(*v)),
-            # The bound is over pair components, translated to the Cantor encoding.
-            {"rd": (3000, lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound)))},
-        ),
-        "fermat": _Instance(4, fermat_trace, {"id": (10**11, fermat_id)}),
-        "walsh": _Instance(4, walsh_trace, {"idprime": (10**11, walsh_idprime)}),
-    }
+# The named instances: name -> (start-value count, trace factory taking the
+# start values to (instance, encoded start), {schema: (largest bound the
+# check accepts, report factory taking the bound)}).  Only the fermat and
+# walsh entries import descente.fermat, when they run.
+#
+# Each check's limit keeps it to a few seconds as a subprocess (Python 3.11,
+# 2 CPUs): 2*10**7 for vii31 takes about 1.1 s, and 3,000 for the gcd side
+# 1.2-1.5 s.  The fermat and walsh checks grow as the square root of the
+# bound: 10**11 takes 1.6-2.4 s, and 10**12 about 7-8 s.
+INSTANCES = {
+    "pentagon": (2, lambda v: (pentagon_instance(), pair_encode(*v)), {}),
+    "vii31": (
+        1,
+        lambda v: (walk_to_base(vii31_rd_instance(), "vii31"), v[0]),
+        {
+            "id": (2 * 10**7, lambda bound: check_id(vii31_instance(), bound)),
+            "rd": (2 * 10**7, lambda bound: check_rd(vii31_rd_instance(), bound)),
+        },
+    ),
+    "gcd": (
+        2,
+        lambda v: (walk_to_base(gcd_instance(), "gcd"), pair_encode(*v)),
+        # The bound is over pair components, translated to the Cantor encoding.
+        {"rd": (3000, lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound)))},
+    ),
+    "fermat": (4, _fermat_trace, {"id": (10**11, _fermat_id)}),
+    "walsh": (4, _walsh_trace, {"idprime": (10**11, _walsh_idprime)}),
+}
 
 
 # Start values must be below this.  A trace prints Cantor codes, and the
@@ -619,12 +612,12 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
         raise UsageError("start values must be naturals")
     if any(v >= START_LIMIT for v in values):
         raise UsageError("start values must be below 10**2000")
-    entry = instances().get(name)
-    if entry is None:
+    if name not in INSTANCES:
         raise UsageError(f"unknown instance {name!r}")
-    if len(values) != entry.arity:
-        raise UsageError(f"instance {name!r} takes {entry.arity} start value(s)")
-    inst, start = entry.trace(values)
+    arity, trace_factory, _ = INSTANCES[name]
+    if len(values) != arity:
+        raise UsageError(f"instance {name!r} takes {arity} start value(s)")
+    inst, start = trace_factory(values)
     # A fermat or walsh descent starts only from a counterexample, which the
     # theorem rules out; it is wired anyway so a falsifying input descends.
     if name in ("fermat", "walsh") and inst.predicate(start):
@@ -661,8 +654,7 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
 def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
     if bound < 1:
         raise UsageError("bound must be >= 1")
-    registry = instances()
-    check = registry[name].checks.get(schema) if name in registry else None
+    check = INSTANCES[name][2].get(schema) if name in INSTANCES else None
     if check is None:
         raise UsageError(f"no registered {schema} instance named {name!r}")
     limit, factory = check

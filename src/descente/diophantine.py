@@ -11,7 +11,7 @@ import sys
 from collections import namedtuple
 
 from .core_arith import check_natural, common_prime_witness, coprime
-from .errors import EXIT_OK, EXIT_PRECONDITION, DomainError, UsageError
+from . import EXIT_OK, EXIT_PRECONDITION, DomainError, UsageError
 
 # The largest max_x2 triples accepts.  Its rows grow as max_x2 log max_x2:
 # 10^5 prints 161,436 rows in 2-3 s as a subprocess, the first after about
@@ -182,8 +182,12 @@ def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
 
 
 def cmd_decompose(kind: str, values: list[int], out) -> int:
-    """The decomposition of kind of values; the command line's parser has
-    already checked the kind and the number of values."""
+    """The decomposition of kind of values.  The command line's parser has
+    already checked the kind; the count of values is checked before their
+    signs, so `decompose triple -1 2` reports the count."""
+    n = 4 if kind == "frenicle" else 3
+    if len(values) != n:
+        raise UsageError(f"decompose {kind} takes {n} values")
     if any(v < 0 for v in values):
         raise UsageError("values must be naturals")
     try:

@@ -24,7 +24,7 @@ from .descent_engine import (
     quad_encode,
     tagged,
 )
-from .errors import DomainError
+from . import DomainError
 
 # core_arith, diophantine and proportions are imported inside the functions
 # that use them: the predicates that the checks evaluate need none of them,

@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 
 from .core_arith import check_natural, coprime, is_prime
-from .errors import DomainError
+from . import DomainError
 
 
 def exact_sqrt(n: int) -> int | None:

@@ -32,6 +32,7 @@ CERT = "src/descente/certificate.py"
 FERMAT = "src/descente/fermat.py"
 ENGINE = "src/descente/descent_engine.py"
 ARITH = "src/descente/core_arith.py"
+DIOPH = "src/descente/diophantine.py"
 
 MUTANTS = [
     Mutant(
@@ -151,6 +152,12 @@ MUTANTS = [
         "if any(v >= START_LIMIT for v in values):", "if any(v > START_LIMIT for v in values):",
         ("tests/test_cli.py",),
         "the start 10**2000 is walked",
+    ),
+    Mutant(
+        "decompose-count", DIOPH,
+        "if len(values) != n:", "if len(values) < n:",
+        ("tests/test_cli.py",),
+        "`decompose` with too many values decomposes the first ones",
     ),
     Mutant(
         "12-bases", ARITH,

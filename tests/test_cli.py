@@ -11,14 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from descente.cli import main
-from descente.errors import (
+from descente import (
     EXIT_COUNTEREXAMPLE,
     EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
 )
+from descente.cli import main
 
 
 SRC = str(Path(__file__).parents[1] / "src")
@@ -329,10 +329,10 @@ def test_descent_guard_rejection_jsonl(instance):
 
 
 def test_descent_walsh_runs_the_walsh_family():
-    from descente.descent_engine import instances, run_descent
+    from descente.descent_engine import INSTANCES, run_descent
     from descente.fermat import CandidateSolution, encode_walsh_candidate, walsh_start_weight
 
-    inst, start = instances()["walsh"].trace([3, 4, 5, 1])
+    inst, start = INSTANCES["walsh"][1]([3, 4, 5, 1])
     assert inst.name == "walsh"
     assert start == encode_walsh_candidate(CandidateSolution(3, 4, 5, 1))
     trace = run_descent(inst, start, 10)
@@ -463,6 +463,28 @@ def test_decompose_parse_failure_exits_64():
     assert code == EXIT_USAGE
     code, _ = run_cli("decompose", "triple", "12", "-9", "15")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        ("decompose triple 3 4", 3),
+        ("decompose triple 3 4 5 6", 3),
+        ("decompose two-square 7 4", 3),
+        ("decompose two-square 7 4 9 1", 3),
+        ("decompose frenicle 4 3 5", 4),
+        ("decompose frenicle 4 3 5 2 1", 4),
+        # the count is checked before the signs
+        ("decompose triple -1 2", 3),
+    ],
+)
+def test_decompose_wrong_value_count_exits_64(argv, count, capsys):
+    assert run_cli(*argv.split()) == (EXIT_USAGE, [])
+    kind = argv.split()[1]
+    assert capsys.readouterr().err == (
+        "usage: descente decompose [-h] {triple,two-square,frenicle} [values ...]\n"
+        f"descente: error: decompose {kind} takes {count} values\n"
+    )
 
 
 def test_decompose_precondition_failure_exits_65():

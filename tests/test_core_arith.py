@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from descente import DomainError
 from descente.core_arith import (
     PRIME_LIMIT,
     Factorization,
@@ -24,7 +25,6 @@ from descente.core_arith import (
     valuation,
 )
 from descente.descent_engine import vii31_rd_instance
-from descente.errors import DomainError
 
 from .oracles import brute_divisors, brute_is_prime, sieve_is_prime
 

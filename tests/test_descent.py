@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from descente import DomainError
 from descente.descent_engine import (
     DescentInstance,
     DescentTrace,
@@ -34,7 +35,6 @@ from descente.descent_engine import (
     walk_to_base,
     _step_obligations,
 )
-from descente.errors import DomainError
 
 from . import oracles
 
@@ -573,9 +573,9 @@ def test_vii31_walk_is_pure_off_its_memo():
     """Called in any order, on values no walk reached, the memoized walk,
     the ID instance and the CLI's walk agree with the reference at every
     value."""
-    from descente.descent_engine import instances
+    from descente.descent_engine import INSTANCES
 
-    walk, inst, (cli_walk, _) = vii31_walk(), vii31_instance(), instances()["vii31"].trace([0])
+    walk, inst, (cli_walk, _) = vii31_walk(), vii31_instance(), INSTANCES["vii31"][1]([0])
     values = list(range(400)) + [2**40, 2**39 * 3, 7**5]
     for v in values[::-1] + values:
         expected = vii31_reference_at(v)

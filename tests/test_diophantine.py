@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from descente import DomainError
 from descente.certificate import generator_pairs
 from descente.core_arith import coprime
 from descente.diophantine import (
@@ -17,7 +18,6 @@ from descente.diophantine import (
     frenicle_xxxviii,
     generate_triple,
 )
-from descente.errors import DomainError
 
 from .oracles import (
     brute_primitive_triples,

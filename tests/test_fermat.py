@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from descente import certificate, fermat
+from descente import DomainError, certificate, fermat
 from descente.certificate import _multiples, generator_pairs, scan_generator_block
 from descente.core_arith import coprime
 from descente.descent_engine import (
@@ -24,7 +24,6 @@ from descente.descent_engine import (
     run_descent,
 )
 from descente.diophantine import PythTriple
-from descente.errors import DomainError
 from descente.fermat import (
     CandidateSolution,
     ClaimIData,

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
+from descente import DomainError
 from descente.core_arith import coprime
-from descente.errors import DomainError
 from descente.proportions import (
     ContinuedProportion,
     NormalForm,
