@@ -12,7 +12,7 @@ pairs instead of about N/2pi.
 This module imports nothing from the package but the package module's
 errors and exit codes, and the JSONL writer for `--format jsonl`, so that
 `descente search` loads nothing else.
-It also holds that command's body, cmd_search, and its records.
+It also holds that command's body, cmd_search, which writes its records.
 """
 
 from __future__ import annotations
@@ -179,15 +179,6 @@ def search(
 # the search command
 
 
-def solution_record(solution: tuple[int, int, int, int]) -> dict:
-    x0, x1, x2, x3 = solution
-    return {"record": "solution", "x0": x0, "x1": x1, "x2": x2, "x3": x3}
-
-
-def footer_record(bound: int, count: int, elapsed: float) -> dict:
-    return {"record": "footer", "bound": bound, "count": count, "elapsed": elapsed}
-
-
 def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
     start = time.monotonic()
     try:
@@ -196,19 +187,15 @@ def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_IO
     elapsed = round(time.monotonic() - start, 3)
-    footer = footer_record(bound, len(found), elapsed)
     if fmt == "jsonl":
         from .jsonl import dumps
 
-        for c in found:
-            print(dumps(solution_record(c)), file=out)
+        for x0, x1, x2, x3 in found:
+            print(dumps({"record": "solution", "x0": x0, "x1": x1, "x2": x2, "x3": x3}), file=out)
+        footer = {"record": "footer", "bound": bound, "count": len(found), "elapsed": elapsed}
         print(dumps(footer), file=out)
     else:
         for x0, x1, x2, x3 in found:
             print(f"counterexample: ({x0}, {x1}, {x2}, {x3})", file=out)
-        print(
-            f"bound {footer['bound']}: {footer['count']} counterexample(s) "
-            f"in {footer['elapsed']}s",
-            file=out,
-        )
+        print(f"bound {bound}: {len(found)} counterexample(s) in {elapsed}s", file=out)
     return EXIT_COUNTEREXAMPLE if found else EXIT_OK

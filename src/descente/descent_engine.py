@@ -57,8 +57,13 @@ def tagged(tag: int, pred: Predicate) -> Predicate:
     It reads the tag from one isqrt and builds no tuple: with
     s = floor((sqrt(8v + 1) - 1) / 2), the first component of v is
     s(s + 3)/2 - v and the second is s minus the first.  Its candidates are
-    the tag's fiber, pair_encode(tag, t) for t = 0, 1, ..., which increases
-    with t: outside the fiber the predicate holds by definition.
+    pair_encode(tag, t), which increases with t, for t in pred's candidates
+    up to last, the largest t with pair_encode(tag, t) <= bound (t = 0, 1,
+    ..., last when pred has none): outside them the predicate holds, by
+    definition off the tag's fiber and by pred's candidates on it.  As
+    pair_encode(tag, t) = s(s + 3)/2 - tag with s = tag + t, that t has
+    s = floor((sqrt(8(bound + tag) + 9) - 3) / 2).  Where last < 0 the
+    fiber has no code <= bound, and pred's candidates are not asked for.
     """
 
     def holds(v: int) -> bool:
@@ -66,10 +71,10 @@ def tagged(tag: int, pred: Predicate) -> Predicate:
         return s * (s + 3) // 2 - v != tag or pred(s - tag)
 
     def candidates(bound: int) -> Iterator[int]:
-        t = 0
-        while (v := pair_encode(tag, t)) <= bound:
-            yield v
-            t += 1
+        last = (math.isqrt(8 * (bound + tag) + 9) - 3) // 2 - tag
+        inner = getattr(pred, "candidates", None)
+        for t in range(last + 1) if inner is None or last < 0 else inner(last):
+            yield pair_encode(tag, t)
 
     holds.candidates = candidates
     return holds
@@ -99,8 +104,9 @@ class ReductionDescentInstance(
     """Reduction-descent: a base class satisfies the predicate directly;
     everything else must step down to a smaller counterexample.
 
-    The engine calls step only on a value where both predicate and base
-    fail, so a step need not test either.
+    The checker calls step only on a value where both predicate and base
+    fail, and a trace wherever the base fails, so a step must be defined off
+    the base and need test neither.
     """
 
     __slots__ = ()
@@ -363,8 +369,19 @@ def rd_to_id(inst: ReductionDescentInstance) -> DescentInstance:
     )
 
 
-def run_descent(inst: DescentInstance, start: int, max_steps: int) -> DescentTrace:
-    """Iterate the step from start while the predicate fails, recording weights.
+def run_descent(
+    inst: DescentInstance | ReductionDescentInstance | IndexedDescentFamily,
+    start: int,
+    max_steps: int,
+) -> DescentTrace:
+    """Walk inst from start by its own schema's rule, recording weights.
+
+    A DescentInstance steps until its predicate holds.  A
+    ReductionDescentInstance steps until its base holds: its step is
+    defined off the base, whatever the predicate says there.  An
+    IndexedDescentFamily of n predicates reads predicates[min(k, n - 1)] and
+    steps[min(k, n - 1)] at its k-th step, the pairing that check_id_prime
+    certifies: P_i steps into P_{i+1}, and the last predicate into itself.
 
     A step that does not lower the weight ends the trace weight-not-decreased,
     with its output as the last entry.  A step that raises ends it step-error,
@@ -372,16 +389,23 @@ def run_descent(inst: DescentInstance, start: int, max_steps: int) -> DescentTra
     meet (a factor beyond the proven prime range, say), and it reaches the
     caller.
     """
+    if isinstance(inst, IndexedDescentFamily):
+        predicates, steps = inst.predicates, inst.steps
+    elif isinstance(inst, ReductionDescentInstance):
+        predicates, steps = (inst.base,), (inst.step,)
+    else:
+        predicates, steps = (inst.predicate,), (inst.step,)
+    last = len(predicates) - 1
     entries = [TraceEntry(start, inst.weight(start), inst.describe(start))]
     v = start
-    outcome = "predicate-holds" if inst.predicate(v) else None
-    steps = 0
+    outcome = "predicate-holds" if predicates[0](v) else None
+    k = 0
     while outcome is None:
-        if steps >= max_steps:
+        if k >= max_steps:
             outcome = "bound-exceeded"
             break
         try:
-            u = inst.step(v)
+            u = steps[min(k, last)](v)
         except DomainError:
             raise
         except Exception:  # a malformed step ends the trace as data
@@ -395,8 +419,8 @@ def run_descent(inst: DescentInstance, start: int, max_steps: int) -> DescentTra
             outcome = "weight-not-decreased"
             break
         v = u
-        steps += 1
-        if inst.predicate(v):
+        k += 1
+        if predicates[min(k, last)](v):
             outcome = "predicate-holds"
     return DescentTrace(inst.name, tuple(entries), outcome)
 
@@ -534,15 +558,6 @@ def gcd_instance() -> ReductionDescentInstance:
     )
 
 
-def walk_to_base(inst: ReductionDescentInstance, name: str) -> DescentInstance:
-    """The walk of a reduction descent down to its base, named name: the
-    predicate is the base, and the weight, step and describe are the
-    instance's.  The walk calls the RD step wherever the base fails,
-    whatever the predicate says there, so that step must be defined off the
-    base."""
-    return DescentInstance(name, inst.base, inst.weight, inst.step, inst.describe)
-
-
 # ---------------------------------------------------------------------------
 # instance registry and the descent and check commands
 
@@ -560,9 +575,9 @@ def _fermat_id(bound: int):
 
 
 def _walsh_trace(values: list[int]) -> tuple[object, int]:
-    from .fermat import CandidateSolution, encode_walsh_candidate, walsh_trace_instance
+    from .fermat import CandidateSolution, encode_walsh_candidate, walsh_family
 
-    return walsh_trace_instance(), encode_walsh_candidate(CandidateSolution(*values))
+    return walsh_family(), encode_walsh_candidate(CandidateSolution(*values))
 
 
 def _walsh_idprime(bound: int):
@@ -578,13 +593,15 @@ def _walsh_idprime(bound: int):
 #
 # Each check's limit keeps it to a few seconds as a subprocess (Python 3.11,
 # 2 CPUs): 2*10**7 for vii31 takes about 1.1 s, and 3,000 for the gcd side
-# 1.2-1.5 s.  The fermat and walsh checks grow as the square root of the
-# bound: 10**11 takes 1.6-2.4 s, and 10**12 about 7-8 s.
+# 1.2-1.5 s.  The fermat check grows as the square root of the bound:
+# 10**11 takes 1.2-2.1 s, and 10**12 about 7-8 s.  The walsh check visits
+# only the triple codes of its two fibers, 301 each at 10**11, and takes
+# about 0.07 s there, mostly start-up; it keeps the fermat check's limit.
 INSTANCES = {
     "pentagon": (2, lambda v: (pentagon_instance(), pair_encode(*v)), {}),
     "vii31": (
         1,
-        lambda v: (walk_to_base(vii31_rd_instance(), "vii31"), v[0]),
+        lambda v: (vii31_rd_instance()._replace(name="vii31"), v[0]),
         {
             "id": (2 * 10**7, lambda bound: check_id(vii31_instance(), bound)),
             "rd": (2 * 10**7, lambda bound: check_rd(vii31_rd_instance(), bound)),
@@ -592,7 +609,7 @@ INSTANCES = {
     ),
     "gcd": (
         2,
-        lambda v: (walk_to_base(gcd_instance(), "gcd"), pair_encode(*v)),
+        lambda v: (gcd_instance(), pair_encode(*v)),
         # The bound is over pair components, translated to the Cantor encoding.
         {"rd": (3000, lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound)))},
     ),
@@ -618,9 +635,17 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
     if len(values) != arity:
         raise UsageError(f"instance {name!r} takes {arity} start value(s)")
     inst, start = trace_factory(values)
+    try:
+        trace = run_descent(inst, start, max_steps=10_000)
+    except DomainError as exc:
+        print(f"precondition failure: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     # A fermat or walsh descent starts only from a counterexample, which the
     # theorem rules out; it is wired anyway so a falsifying input descends.
-    if name in ("fermat", "walsh") and inst.predicate(start):
+    # Any other start ends its trace at once, where the predicate holds.
+    if name in ("fermat", "walsh") and (
+        trace.outcome == "predicate-holds" and len(trace.entries) == 1
+    ):
         x0, x1, x2, x3 = values
         if fmt == "jsonl":
             from .jsonl import dumps
@@ -640,11 +665,6 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
             file=out,
         )
         return EXIT_OK
-    try:
-        trace = run_descent(inst, start, max_steps=10_000)
-    except DomainError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     lines = trace.to_jsonl() if fmt == "jsonl" else trace.to_text()
     for line in lines:
         print(line, file=out)

@@ -145,12 +145,6 @@ def decompose_primitive_two_square(x0: int, x1: int, x2: int) -> tuple[int, int]
 # the triples and decompose commands
 
 
-def triple_record(x0: int, x1: int, x2: int, p: int, q: int, factor: int) -> dict:
-    return dict(
-        record="triple", x0=x0, x1=x1, x2=x2, p=p, q=q, factor=factor, primitive=factor == 1
-    )
-
-
 def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
     """Each triple with x2 <= max_x2 as a multiple of its primitive triple,
     in (x2, smaller leg) order: the multiples of each primitive triple are
@@ -174,7 +168,8 @@ def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
 
     for x2, x0, x1, p, q, d in merge(*(multiples(p, q) for p, q in generator_pairs(max_x2))):
         if fmt == "jsonl":
-            print(dumps(triple_record(x0, x1, x2, p, q, d)), file=out)
+            rec = dict(record="triple", x0=x0, x1=x1, x2=x2, p=p, q=q, factor=d, primitive=d == 1)
+            print(dumps(rec), file=out)
         else:
             tail = "" if d == 1 else f"  non-primitive, factor {d}"
             print(f"({x0}, {x1}, {x2})  p={p} q={q}{tail}", file=out)

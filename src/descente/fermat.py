@@ -29,7 +29,7 @@ from . import DomainError
 # core_arith, diophantine and proportions are imported inside the functions
 # that use them: the predicates that the checks evaluate need none of them,
 # and the step path that does runs only from a counterexample.  So is
-# certificate, which only the fermat check's candidates and
+# certificate, which only the fermat and walsh checks' candidates and
 # exhaustive_search need.
 
 
@@ -292,6 +292,10 @@ def _not_claim_ii_code(v: int) -> bool:
     return not _is_claim_ii_tuple(*quad_decode(v))
 
 
+# A Claim II state has e > f > 0 and e^2 + f^2 = g^2: a triple code.
+_not_claim_ii_code.candidates = _triple_codes
+
+
 def _reduce_to_coprime(c: CandidateSolution) -> CandidateSolution:
     from .core_arith import common_prime_witness, coprime
     from .diophantine import PythTriple
@@ -364,24 +368,6 @@ def walsh_family() -> IndexedDescentFamily:
         weight,
         (step0, step1),
         describe,
-    )
-
-
-def walsh_trace_instance() -> DescentInstance:
-    """walsh_family as one walk, for traces: a value tagged 0 (a candidate)
-    takes P_0 and step0, any other value P_1 and step1.  Start it at
-    encode_walsh_candidate."""
-    fam = walsh_family()
-
-    def index(v: int) -> int:
-        return min(pair_decode(v)[0], 1)
-
-    return DescentInstance(
-        fam.name,
-        lambda v: fam.predicates[index(v)](v),
-        fam.weight,
-        lambda v: fam.steps[index(v)](v),
-        fam.describe,
     )
 
 

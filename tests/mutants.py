@@ -135,6 +135,12 @@ MUTANTS = [
         "though none at or below 300,000",
     ),
     Mutant(
+        "claim-ii-no-candidates", FERMAT,
+        "_not_claim_ii_code.candidates = _triple_codes\n", "",
+        ("tests/test_fermat.py",),
+        "the walsh check walks P_1's whole fiber",
+    ),
+    Mutant(
         "skip-every-value", ENGINE,
         "for v in range(bound + 1) if candidates is None else candidates(bound):",
         "for v in ():",
@@ -146,6 +152,25 @@ MUTANTS = [
         "if weight(u) >= weight(v):", "if weight(u) > weight(v):",
         ("tests/test_descent.py",),
         "a step that keeps the weight passes",
+    ),
+    Mutant(
+        "trace-index", ENGINE,
+        "u = steps[min(k, last)](v)", "u = steps[last](v)",
+        ("tests/test_fermat.py",),
+        "a family's walk takes its last step from the start",
+    ),
+    Mutant(
+        "rd-walks-predicate", ENGINE,
+        "predicates, steps = (inst.base,), (inst.step,)",
+        "predicates, steps = (inst.predicate,), (inst.step,)",
+        ("tests/test_descent.py",),
+        "an RD walk stops where its predicate holds, not at its base",
+    ),
+    Mutant(
+        "tagged-drops-inner", ENGINE,
+        'inner = getattr(pred, "candidates", None)', "inner = None",
+        ("tests/test_descent.py",),
+        "a tagged predicate walks its whole fiber, not its inner candidates",
     ),
     Mutant(
         "start-limit", ENGINE,

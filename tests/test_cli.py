@@ -256,6 +256,23 @@ def test_search_resume_keeps_found_counterexample(tmp_path, monkeypatch):
         assert not cache.exists()  # no mark, so the next run searches again
 
 
+def test_search_prints_a_planted_hit_in_text(monkeypatch):
+    """A hit prints one `counterexample:` line per solution before the
+    footer, and the search exits 2."""
+    import descente.certificate as certificate
+
+    scan = certificate.scan_generator_block
+    hits = [(3, 4, 5, 1), (6, 8, 10, 2)]
+    monkeypatch.setattr(
+        certificate, "scan_generator_block",
+        lambda p, q, bound_x2: hits if (p, q) == (16, 9) else scan(p, q, bound_x2),
+    )
+    code, lines = run_cli("search", "--bound", "400")
+    assert code == EXIT_COUNTEREXAMPLE
+    assert lines[:-1] == ["counterexample: (3, 4, 5, 1)", "counterexample: (6, 8, 10, 2)"]
+    assert re.fullmatch(r"bound 400: 2 counterexample\(s\) in [0-9.]+s", lines[-1])
+
+
 # ---------------------------------------------------------------------------
 # descent
 
@@ -359,6 +376,21 @@ def test_descent_jsonl_just_below_the_start_limit(instance, capsys):
     assert run_cli("descent", instance, str(top + 1), "1") == (EXIT_USAGE, [])
     err = capsys.readouterr().err
     assert err.endswith("\ndescente: error: start values must be below 10**2000\n")
+
+
+@pytest.mark.parametrize(
+    "argv, command, message",
+    [
+        ("check id vii31 0", "check", "bound must be >= 1"),
+        ("check rd gcd 0", "check", "bound must be >= 1"),
+        ("triples 0", "triples", "max_x2 must be >= 1"),
+    ],
+)
+def test_a_bound_below_1_exits_64_with_the_usage_line(argv, command, message, capsys):
+    assert run_cli(*argv.split()) == (EXIT_USAGE, [])
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: descente {command} [-h]")
+    assert err[1:] == [f"descente: error: {message}"]
 
 
 def test_descent_unknown_instance_exits_64():

@@ -301,6 +301,8 @@ def test_split_valuation_examples():
         split_valuation(2, 3, 0, 6)
     with pytest.raises(DomainError):
         split_valuation(2, 5, 4, 6)  # 2^5 does not divide 24
+    with pytest.raises(DomainError, match="4 is not prime"):
+        split_valuation(4, 1, 4, 6)
 
 
 def test_split_valuation_postconditions():

@@ -32,7 +32,6 @@ from descente.descent_engine import (
     tagged,
     vii31_instance,
     vii31_rd_instance,
-    walk_to_base,
     _step_obligations,
 )
 
@@ -415,6 +414,29 @@ def test_tagged_candidates_lose_no_failure(tag, k, r, bound):
     assert check_rd(rd(fast), bound) == check_rd(rd(plain), bound)
 
 
+@pytest.mark.parametrize("tag", [0, 1, 2, 7])
+def test_tagged_candidates_compose_the_inner_candidates(tag):
+    """Where pred carries candidates, tagged(tag, pred) walks
+    pair_encode(tag, c) for c in pred.candidates(last), last being the
+    largest t with pair_encode(tag, t) <= bound: at each fiber code, one
+    below it and one above it."""
+
+    def inner(u: int) -> bool:
+        return u % 3 != 1
+
+    def inner_candidates(last: int) -> range:
+        assert last >= 0, "an empty fiber asks for no candidates"
+        return range(1, last + 1, 3)
+
+    inner.candidates = inner_candidates
+    composed = tagged(tag, inner)
+    fiber = [pair_encode(tag, t) for t in range(80)]
+    for bound in {v + d for v in fiber[:60] for d in (-1, 0, 1)} - {-1, 0}:
+        last = sum(v <= bound for v in fiber) - 1
+        want = [pair_encode(tag, c) for c in range(1, last + 1, 3)]
+        assert list(composed.candidates(bound)) == want
+
+
 def test_check_rd_vii31_makes_no_is_prime_call(monkeypatch):
     """The vii31 predicate always holds, so `check rd vii31` never reads the
     base, which factors its value."""
@@ -484,6 +506,13 @@ def test_id_prime_requires_nonempty_family():
         IndexedDescentFamily("empty", (), lambda v: v, ())
 
 
+def test_id_prime_requires_one_step_per_predicate():
+    with pytest.raises(DomainError, match="one step per predicate required"):
+        IndexedDescentFamily("short", (lambda v: True,), lambda v: v, (None, None))
+    with pytest.raises(DomainError, match="one step per predicate required"):
+        IndexedDescentFamily("long", (lambda v: True,) * 2, lambda v: v, (None,))
+
+
 # ---------------------------------------------------------------------------
 # traces
 
@@ -496,9 +525,10 @@ def test_run_descent_pentagon_8_5():
     assert [e.weight for e in trace.entries] == [8, 3, 1]
 
 
-def vii31_walk() -> DescentInstance:
-    """The walk that `descent vii31` runs."""
-    return walk_to_base(vii31_rd_instance(), "vii31")
+def vii31_walk() -> ReductionDescentInstance:
+    """The walk that `descent vii31` runs: the RD instance, under the name
+    its trace records carry."""
+    return vii31_rd_instance()._replace(name="vii31")
 
 
 # Trial division cannot split this start in test time, so its walk is
@@ -518,7 +548,7 @@ def vii31_reference(start: int) -> DescentTrace:
 
 
 def vii31_reference_at(v: int) -> tuple:
-    """(predicate, step, describe) of the VII.31 walk at v, from the
+    """(base, step, describe) of the VII.31 walk at v, from the
     package-free oracles.vii31_step."""
     step = oracles.vii31_step(v)
     prime = v >= 2 and step is None
@@ -579,8 +609,8 @@ def test_vii31_walk_is_pure_off_its_memo():
     values = list(range(400)) + [2**40, 2**39 * 3, 7**5]
     for v in values[::-1] + values:
         expected = vii31_reference_at(v)
-        assert (walk.predicate(v), walk.step(v), walk.describe(v)) == expected
-        assert (cli_walk.predicate(v), cli_walk.step(v), cli_walk.describe(v)) == expected
+        assert (walk.base(v), walk.step(v), walk.describe(v)) == expected
+        assert (cli_walk.base(v), cli_walk.step(v), cli_walk.describe(v)) == expected
         assert (inst.predicate(v), inst.step(v), inst.describe(v)) == (True, *expected[1:])
     for i in (walk, inst, cli_walk):
         for v in (-1, -12):
@@ -600,7 +630,7 @@ def test_run_descent_bound_exceeded():
 
 
 def test_run_descent_gcd():
-    trace = run_descent(walk_to_base(gcd_instance(), "gcd"), pair_encode(12, 9), 100)
+    trace = run_descent(gcd_instance(), pair_encode(12, 9), 100)
     assert [pair_decode(e.value) for e in trace.entries] == [(12, 9), (9, 3), (3, 0)]
     assert trace.outcome == "predicate-holds"
 

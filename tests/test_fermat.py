@@ -134,6 +134,38 @@ def test_claim_ii_data_validation():
         ClaimIIData(e=5, f=0, g=5, h=5)  # needs f > 0
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((6, 4, 0, 0, 0), "p and q must be coprime"),
+        ((5, 3, 4, 0, 0), "exactly one of p, q must be odd"),
+        ((2, 3, 0, 0, 0), "need p > q"),
+        ((5, 2, 0, 2, 1), "p and q must be the squares of e and f"),
+        ((4, 1, 0, 2, 1), r"p\^2 - q\^2 must equal c\^2"),
+        ((1, 0, 1, 1, 0), "need e > f > 0"),
+    ],
+)
+def test_claim_i_data_messages(fields, message):
+    """Each check of ClaimIData, reached past all the ones before it."""
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        ClaimIData(*fields)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((5, 4, 3, 3), "g and h must be positive and coprime"),
+        ((5, 0, 5, 4), "need e > f > 0"),
+        ((5, 4, 6, 1), r"e\^2 \+ f\^2 must equal g\^2"),
+        ((4, 3, 5, 2), r"e\^2 - f\^2 must equal h\^2"),
+    ],
+)
+def test_claim_ii_data_messages(fields, message):
+    """Each check of ClaimIIData, reached past all the ones before it."""
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        ClaimIIData(*fields)
+
+
 def test_no_claim_i_data_exists_up_to_e_200():
     """Exhaustive vacuity: no (e, f) with e <= 200 yields squares p = e^2,
     q = f^2 of opposite parity with p^2 - q^2 square."""
@@ -228,6 +260,50 @@ def test_walsh_family_check_vacuous_at_500():
     assert report.ok and report.bound == 500
 
 
+def _fiber_last(tag: int, bound: int) -> int:
+    """The largest t with pair_encode(tag, t) <= bound, or -1, by bisection."""
+    lo, hi = -1, bound
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if pair_encode(tag, mid) <= bound else (lo, mid - 1)
+    return lo
+
+
+def test_walsh_candidates_are_the_triple_codes_of_each_fiber():
+    """P_0 and P_1 visit pair_encode(tag, c) for the triple codes c of
+    their tag's fiber, the only codes where a counterexample or a Claim II
+    state can sit.  The bounds are the fiber codes of triple codes, the
+    codes one below them, and the fiber's own edges."""
+    from .oracles import brute_triple_codes
+
+    codes = brute_triple_codes(3000)
+    for tag, pred in enumerate(walsh_family().predicates):
+        bounds = {1, 2, 3, 10**6}
+        for t in [*codes[::4], codes[-1]]:
+            bounds |= {pair_encode(tag, t), pair_encode(tag, t) - 1}
+        for t in (0, 1, 100, 1000):
+            bounds |= {pair_encode(tag, t), pair_encode(tag, t) + 1}
+        for bound in sorted(bounds):
+            last = _fiber_last(tag, bound)
+            assert last <= 3000
+            want = [pair_encode(tag, c) for c in codes if c <= last]
+            assert list(pred.candidates(bound)) == want
+
+
+def test_walsh_check_over_candidates_reports_what_every_value_gives(monkeypatch):
+    """With the area condition and the difference equation dropped, P_0 and
+    P_1 fail at some codes.  The check over the candidates then reports
+    what the same family reports when it visits every value <= 10^6: three
+    failures."""
+    for name, relaxed in FORMS["relaxed"].items():
+        monkeypatch.setattr(fermat, name, relaxed)
+    fam = walsh_family()._replace(steps=(lambda v: None, lambda v: None))
+    every = fam._replace(predicates=tuple((lambda v, p=p: p(v)) for p in fam.predicates))
+    report = check_id_prime(fam, 10**6)
+    assert report == check_id_prime(every, 10**6)
+    assert [f.index for f in report.failures] == [0, 0, 1]
+
+
 def test_walsh_weight_drop_is_exactly_one():
     """For the formal state (e, f) = (x2, 2*x3), the state weight e^2 + f^2
     is exactly one less than the start weight x2^2 + (2*x3)^2 + 1."""
@@ -248,20 +324,37 @@ def test_walsh_family_weights_on_tagged_encodings():
     assert fam.weight(encode_walsh_candidate(c)) == walsh_start_weight(5, 1)
 
 
-def test_walsh_trace_takes_each_tag_to_its_own_step(monkeypatch):
-    from descente import fermat
+def test_run_descent_walks_a_family_by_its_index():
+    """The k-th step of a family's walk reads P_min(k, n-1) and
+    step_min(k, n-1): P_0 and step0 at the start, then P_1 and step1 at
+    every later value, the pairing that check_id_prime certifies.  No
+    claim-II state exists, so the real family's steps cannot tell which one
+    ran; a stand-in family records each predicate and step it calls."""
     from descente.descent_engine import IndexedDescentFamily
 
-    # No claim-II state exists, so the real family's steps cannot tell
-    # which one ran; a stand-in family names its predicate and step.
-    fake = IndexedDescentFamily(
-        "walsh", (lambda v: "P0", lambda v: "P1"), lambda v: v, (lambda v: 0, lambda v: 1)
-    )
-    monkeypatch.setattr(fermat, "walsh_family", lambda: fake)
-    inst = fermat.walsh_trace_instance()
-    for tag, index in ((0, 0), (1, 1), (2, 1)):
-        v = pair_encode(tag, 7)
-        assert (inst.predicate(v), inst.step(v)) == (f"P{index}", index)
+    calls = []
+
+    def pred(i):
+        return lambda v: calls.append((f"P{i}", v)) or v == 0
+
+    def step(i):
+        return lambda v: calls.append((f"step{i}", v)) or v - 1
+
+    fam = IndexedDescentFamily("two", (pred(0), pred(1)), lambda v: v, (step(0), step(1)))
+    trace = run_descent(fam, 3, 10)
+    assert [e.value for e in trace.entries] == [3, 2, 1, 0]
+    assert trace.outcome == "predicate-holds"
+    assert calls == [
+        ("P0", 3), ("step0", 3), ("P1", 2), ("step1", 2), ("P1", 1), ("step1", 1), ("P1", 0)
+    ]
+
+
+def test_walsh_descent_from_a_state_ends_where_p0_holds():
+    """A walk of the family starts under P_0, which holds off tag 0: the ID'
+    trace starts from a P_0 counterexample, so a state start ends at once."""
+    state = pair_encode(1, quad_encode(5, 4, 3, 3))
+    trace = run_descent(walsh_family(), state, 10)
+    assert (len(trace.entries), trace.outcome) == (1, "predicate-holds")
 
 
 # The forms the checked predicates must agree with: decode the whole code,

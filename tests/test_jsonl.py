@@ -3,6 +3,7 @@
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,3 +53,8 @@ def test_writer_on_non_finite_floats_and_int_subclasses():
     record = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "one": Small.ONE}
     assert dumps(record) == json.dumps(record)
 
+
+
+def test_writer_rejects_a_nested_value():
+    with pytest.raises(TypeError, match="a JSONL record holds no list"):
+        dumps({"x": [1]})

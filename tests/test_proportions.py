@@ -55,6 +55,24 @@ def test_continued_proportion_validation():
         ContinuedProportion((4, 6, 10))
 
 
+def test_normal_form_record_validation():
+    with pytest.raises(DomainError, match="k, y, z must be positive"):
+        NormalForm(k=0, y=1, z=1, n=0)
+    with pytest.raises(DomainError, match="k, y, z must be positive"):
+        NormalForm(k=1, y=2, z=0, n=0)
+    with pytest.raises(DomainError, match="y and z must be coprime"):
+        NormalForm(k=1, y=2, z=4, n=1)
+
+
+def test_normal_form_rejects_terms_out_of_proportion():
+    """A ContinuedProportion has a normal form, so both rejections are
+    reached only through terms that skip the record's own check."""
+    with pytest.raises(DomainError, match="do not admit a geometric normal form"):
+        normal_form((2, 3, 5))  # 2^2 does not divide the first term
+    with pytest.raises(DomainError, match="do not admit a geometric normal form"):
+        normal_form((4, 6, 10))  # (4, 6, 9) is the proportion it starts
+
+
 def test_power_form_from_the_unit():
     """A proportion starting at 1 is the powers of its second term, so the
     third term is a square, the fourth a cube, the seventh both."""
@@ -219,6 +237,10 @@ def test_split_sum_diff_square_examples():
         split_sum_diff_square(6, 4, 2)  # not coprime
     with pytest.raises(DomainError):
         split_sum_diff_square(5, 3, 4)  # parity
+    with pytest.raises(DomainError, match="need p > q >= 1, got p=2, q=3"):
+        split_sum_diff_square(2, 3, 0)
+    with pytest.raises(DomainError, match="need p > q >= 1, got p=1, q=0"):
+        split_sum_diff_square(1, 0, 1)
 
 
 def test_split_sum_diff_square_exhaustive():
