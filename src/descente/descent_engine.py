@@ -52,29 +52,22 @@ def quad_decode(v: int) -> tuple[int, int, int, int]:
 
 def tagged(tag: int, pred: Predicate) -> Predicate:
     """The predicate over pair codes that holds where the first component is
-    not tag, and is pred of the second component where it is.
-
-    It reads the tag from one isqrt and builds no tuple: with
-    s = floor((sqrt(8v + 1) - 1) / 2), the first component of v is
-    s(s + 3)/2 - v and the second is s minus the first.  Its candidates are
-    pair_encode(tag, t), which increases with t, for t in pred's candidates
-    up to last, the largest t with pair_encode(tag, t) <= bound (t = 0, 1,
-    ..., last when pred has none): outside them the predicate holds, by
-    definition off the tag's fiber and by pred's candidates on it.  As
-    pair_encode(tag, t) = s(s + 3)/2 - tag with s = tag + t, that t has
-    s = floor((sqrt(8(bound + tag) + 9) - 3) / 2).  Where last < 0 the
-    fiber has no code <= bound, and pred's candidates are not asked for.
-    """
+    not tag, and is pred of the second component where it is.  Its
+    candidates(bound) are the codes pair_encode(tag, t) <= bound, in
+    increasing t, for t in pred's candidates, or for every t when pred has
+    none."""
 
     def holds(v: int) -> bool:
-        s = (math.isqrt(8 * v + 1) - 1) // 2
-        return s * (s + 3) // 2 - v != tag or pred(s - tag)
+        first, second = pair_decode(v)
+        return first != tag or pred(second)
 
     def candidates(bound: int) -> Iterator[int]:
-        last = (math.isqrt(8 * (bound + tag) + 9) - 3) // 2 - tag
+        cap = math.isqrt(2 * bound)  # pair_encode(tag, t) >= t(t + 1)/2
         inner = getattr(pred, "candidates", None)
-        for t in range(last + 1) if inner is None or last < 0 else inner(last):
-            yield pair_encode(tag, t)
+        for t in range(cap + 1) if inner is None else inner(cap):
+            if (v := pair_encode(tag, t)) > bound:
+                break
+            yield v
 
     holds.candidates = candidates
     return holds
@@ -124,6 +117,7 @@ class IndexedDescentFamily(
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(
         cls,
@@ -217,6 +211,7 @@ class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, instance: str, entries: tuple[TraceEntry, ...], outcome: str):
         if outcome not in OUTCOMES:

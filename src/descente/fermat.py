@@ -251,11 +251,7 @@ def _is_claim_ii_tuple(e: int, f: int, g: int, h: int) -> bool:
 
 
 def _not_counterexample(v: int) -> bool:
-    """not is_counterexample(decode_candidate(v)), without building the
-    record: a zero leg decides it before the right half is decoded."""
-    left, right = pair_decode(v)
-    x0, x1 = pair_decode(left)
-    return not (x0 and x1) or not _solves(x0, x1, *pair_decode(right))
+    return not _solves(*quad_decode(v))
 
 
 def _triple_codes(bound: int) -> list[int]:

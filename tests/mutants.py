@@ -123,7 +123,7 @@ MUTANTS = [
     ),
     Mutant(
         "always-not-counterexample", FERMAT,
-        "return not (x0 and x1) or not _solves(x0, x1, *pair_decode(right))", "return True",
+        "return not _solves(*quad_decode(v))", "return True",
         ("tests/test_fermat.py",),
         "the fermat predicate holds even on a counterexample",
     ),
@@ -171,6 +171,37 @@ MUTANTS = [
         'inner = getattr(pred, "candidates", None)', "inner = None",
         ("tests/test_descent.py",),
         "a tagged predicate walks its whole fiber, not its inner candidates",
+    ),
+    Mutant(
+        "tagged-cap", ENGINE,
+        "cap = math.isqrt(2 * bound)", "cap = math.isqrt(bound)",
+        ("tests/test_fermat.py",),
+        "a tagged predicate asks its inner candidates only up to the square root "
+        "of the bound, and loses the fiber codes above it",
+    ),
+    Mutant(
+        "tagged-no-break", ENGINE,
+        "                break\n            yield v\n", "                continue\n            yield v\n",
+        (),
+        "the inner candidates increase and so do their codes: past the first code "
+        "above the bound, none is yielded",
+        equivalent=True,
+    ),
+    Mutant(
+        "make-unchecked", ENGINE,
+        "    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too\n"
+        "\n    def __new__(\n        cls,\n",
+        "\n    def __new__(\n        cls,\n",
+        ("tests/test_descent.py",),
+        "a family's _replace drops a step unchecked",
+    ),
+    Mutant(
+        "trace-make-unchecked", ENGINE,
+        "    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too\n"
+        "\n    def __new__(cls, instance",
+        "\n    def __new__(cls, instance",
+        ("tests/test_descent.py",),
+        "a trace's _replace takes an unknown outcome",
     ),
     Mutant(
         "start-limit", ENGINE,

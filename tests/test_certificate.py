@@ -167,8 +167,11 @@ def test_command_loads_no_dataclasses_and_no_fermat(argv, banned):
 
 
 # The fermat and walsh checks evaluate only their predicates, which need no
-# arithmetic module; `decompose triple` and `triples` split no squares.
+# arithmetic module; `decompose triple` and `triples` split no squares.  A
+# fermat or walsh descent from a non-counterexample evaluates only its first
+# predicate, so it does not load certificate either.
 CHECK_DEPS = ("descente.diophantine", "descente.proportions", "descente.core_arith")
+GUARD_DEPS = CHECK_DEPS + ("descente.certificate",)
 
 
 @pytest.mark.parametrize(
@@ -178,6 +181,8 @@ CHECK_DEPS = ("descente.diophantine", "descente.proportions", "descente.core_ari
         for argv, banned in (
             ("check id fermat 100", CHECK_DEPS),
             ("check idprime walsh 100", CHECK_DEPS),
+            ("descent fermat 3 4 5 1", GUARD_DEPS),
+            ("descent walsh 3 4 5 1", GUARD_DEPS),
             ("decompose triple 3 4 5", ("descente.proportions",)),
             ("triples 30", ("descente.proportions",)),
         )

@@ -218,6 +218,10 @@ def test_search_bad_bound_or_format_exits_64(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: descente search")
     assert "argument --format: invalid choice: 'xml'" in err
+    assert run_cli("search", "--bound") == (EXIT_USAGE, [])
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: descente search")
+    assert err[1:] == ["descente: error: argument --bound: expected one argument"]
 
 
 def test_search_bound_above_the_limit_exits_64(tmp_path, capsys):

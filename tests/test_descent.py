@@ -417,16 +417,15 @@ def test_tagged_candidates_lose_no_failure(tag, k, r, bound):
 @pytest.mark.parametrize("tag", [0, 1, 2, 7])
 def test_tagged_candidates_compose_the_inner_candidates(tag):
     """Where pred carries candidates, tagged(tag, pred) walks
-    pair_encode(tag, c) for c in pred.candidates(last), last being the
+    pair_encode(tag, c) for the c in pred's candidates up to last, the
     largest t with pair_encode(tag, t) <= bound: at each fiber code, one
     below it and one above it."""
 
     def inner(u: int) -> bool:
         return u % 3 != 1
 
-    def inner_candidates(last: int) -> range:
-        assert last >= 0, "an empty fiber asks for no candidates"
-        return range(1, last + 1, 3)
+    def inner_candidates(cap: int) -> range:
+        return range(1, cap + 1, 3)
 
     inner.candidates = inner_candidates
     composed = tagged(tag, inner)
@@ -511,6 +510,17 @@ def test_id_prime_requires_one_step_per_predicate():
         IndexedDescentFamily("short", (lambda v: True,), lambda v: v, (None, None))
     with pytest.raises(DomainError, match="one step per predicate required"):
         IndexedDescentFamily("long", (lambda v: True,) * 2, lambda v: v, (None,))
+
+
+def test_family_make_and_replace_check_like_the_constructor():
+    """_make and _replace build a family through __new__, so neither drops a
+    step or every predicate; a replacement that keeps the counts works."""
+    fam = IndexedDescentFamily("two", (lambda v: True,) * 2, lambda v: v, (None, None))
+    with pytest.raises(DomainError, match="^one step per predicate required$"):
+        fam._replace(steps=fam.steps[:1])
+    with pytest.raises(DomainError, match="^predicate family must be nonempty$"):
+        IndexedDescentFamily._make(("x", (), lambda v: v, (), str))
+    assert fam._replace(name="renamed") == ("renamed", *fam[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +707,15 @@ def test_trace_weights_must_strictly_decrease():
     assert DescentTrace("x", entries[1:], "weight-not-decreased").entries == entries[1:]
 
 
+def test_trace_replace_checks_like_the_constructor():
+    trace = DescentTrace("x", (TraceEntry(1, 5, "a"),), "predicate-holds")
+    with pytest.raises(DomainError, match="^unknown outcome 'bogus'$"):
+        trace._replace(outcome="bogus")
+    with pytest.raises(DomainError, match="^trace weights must strictly decrease$"):
+        trace._replace(entries=trace.entries * 2)
+    assert trace._replace(outcome="bound-exceeded").outcome == "bound-exceeded"
+
+
 # ---------------------------------------------------------------------------
 # pentagon arithmetic
 
@@ -723,14 +742,17 @@ def test_pentagon_fibonacci_pairs():
 # serialization
 
 
+# A report with a failure row of each kind: without an index, and of P_1.
+DEMO_REPORT = Report(
+    "id",
+    "demo",
+    42,
+    (Failure(5, "weight-not-decreased", "weight 5 -> 7"), Failure(6, "step-undefined", "x", 1)),
+)
+
+
 def test_report_jsonl_round_trip():
-    report = Report(
-        "id",
-        "demo",
-        42,
-        (Failure(5, "weight-not-decreased", "weight 5 -> 7"), Failure(6, "step-undefined", "x", 1)),
-    )
-    lines = report.to_jsonl()
+    lines = DEMO_REPORT.to_jsonl()
     assert all(isinstance(json.loads(line), dict) for line in lines)
     assert [json.dumps(json.loads(line)) for line in lines] == lines
     assert [json.loads(line) for line in lines] == [
@@ -754,6 +776,11 @@ def test_report_text_rendering():
     report = check_id(vii31_instance(), 10)
     text = report.to_text()
     assert text[-1] == "id check of 'vii31' up to 10: ok"
+    assert DEMO_REPORT.to_text() == [
+        "           5        weight-not-decreased      weight 5 -> 7",
+        "           6  P_1   step-undefined            x",
+        "id check of 'demo' up to 42: 2 failure(s)",
+    ]
 
 
 def test_trace_jsonl_round_trip():

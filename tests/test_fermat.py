@@ -478,6 +478,52 @@ def test_check_without_the_area_conjunct_fails_at_exactly_the_triple_codes(monke
     assert [f.value for f in report.failures] == list(brute_triple_codes(300_000))
 
 
+# With the area condition dropped, a Pythagorean triple passes the guard,
+# and the claim chain runs up to its first broken precondition.
+@pytest.mark.parametrize(
+    "quad, message",
+    [
+        ((3, 4, 5, 1), "2*3 != 1^2"),
+        ((6, 8, 10, 2), "2*3 != 1^2"),  # reduced by 2 to (3, 4, 5, 1) first
+        ((6, 8, 10, 1), "2 does not divide 1"),
+    ],
+)
+def test_fermat_step_runs_to_its_first_broken_precondition(quad, message, monkeypatch):
+    for name, relaxed in FORMS["relaxed"].items():
+        monkeypatch.setattr(fermat, name, relaxed)
+    with pytest.raises(DomainError) as exc:
+        fermat_instance().step(quad_encode(*quad))
+    assert str(exc.value) == message
+
+
+def test_walsh_steps_run_to_their_first_broken_precondition(monkeypatch):
+    for name, relaxed in FORMS["relaxed"].items():
+        monkeypatch.setattr(fermat, name, relaxed)
+    step0, step1 = walsh_family().steps
+    with pytest.raises(DomainError) as exc:
+        step0(pair_encode(0, quad_encode(3, 4, 5, 1)))
+    assert str(exc.value) == "e^2 + f^2 must equal g^2"
+    with pytest.raises(DomainError) as exc:
+        step1(pair_encode(1, quad_encode(4, 3, 5, 1)))
+    assert str(exc.value) == "e^2 - f^2 must equal h^2"
+
+
+def test_relaxed_fermat_descent_and_check_report_the_broken_precondition(monkeypatch, capsys):
+    """`descent` exits 65 on the step's DomainError; the check turns the same
+    error into one step-error per triple code."""
+    from descente.cli import main
+
+    from .oracles import brute_triple_codes
+
+    for name, relaxed in FORMS["relaxed"].items():
+        monkeypatch.setattr(fermat, name, relaxed)
+    assert main(["descent", "fermat", "6", "8", "10", "2"]) == 65
+    assert capsys.readouterr().err == "precondition failure: 2*3 != 1^2\n"
+    report = check_id(fermat_instance(), 2000)
+    assert [f.value for f in report.failures] == list(brute_triple_codes(2000))
+    assert {f.kind for f in report.failures} == {"step-error"}
+
+
 def test_run_descent_fermat_trivially_holds():
     inst = fermat_instance()
     trace = run_descent(inst, encode_candidate(CandidateSolution(3, 4, 5, 1)), 10)
