@@ -3,8 +3,9 @@
 An instance packages a decidable predicate over naturals, a natural-valued
 weight (which makes well-foundedness free), and a partial step function
 producing a smaller counterexample.  The checkers certify the schema
-obligations for every value up to a bound and report violations as data,
-never as exceptions, so the CLI can render them.
+obligations for every value up to a bound and report violations, a step
+that raises included, as data.  The predicate, base, weight and describe
+must be total: their exceptions reach the caller of a check or a trace.
 
 Tuple-valued descents are packed through the invertible Cantor pairing
 owned by this module (pair_encode / pair_decode).
@@ -450,10 +451,10 @@ def pentagon_instance() -> DescentInstance:
         return not 1 <= n <= m
 
     def step(v: int) -> int | None:
-        m, n = pair_decode(v)
-        if not n < m < 2 * n:
+        try:
+            return pair_encode(*pentagon_step(*pair_decode(v)))
+        except DomainError:  # outside the window: run_descent would re-raise it
             return None
-        return pair_encode(*pentagon_step(m, n))
 
     def weight(v: int) -> int:
         return pair_decode(v)[0]
@@ -558,9 +559,9 @@ def gcd_instance() -> ReductionDescentInstance:
 
 
 def _fermat_trace(values: list[int]) -> tuple[object, int]:
-    from .fermat import CandidateSolution, encode_candidate, fermat_instance
+    from .fermat import fermat_instance
 
-    return fermat_instance(), encode_candidate(CandidateSolution(*values))
+    return fermat_instance(), quad_encode(*values)
 
 
 def _fermat_id(bound: int):

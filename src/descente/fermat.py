@@ -224,16 +224,8 @@ def walsh_state_weight(e: int, f: int) -> int:
     return e**2 + f**2
 
 
-def encode_candidate(c: CandidateSolution) -> int:
-    return quad_encode(*c)
-
-
-def decode_candidate(v: int) -> CandidateSolution:
-    return CandidateSolution(*quad_decode(v))
-
-
 def encode_walsh_candidate(c: CandidateSolution) -> int:
-    return pair_encode(0, encode_candidate(c))
+    return pair_encode(0, quad_encode(*c))
 
 
 def encode_walsh_state(d: ClaimIIData) -> int:
@@ -311,12 +303,11 @@ def fermat_instance() -> DescentInstance:
     """
 
     def weight(v: int) -> int:
-        return decode_candidate(v).x2
+        return quad_decode(v)[2]
 
     def step(v: int) -> int:
-        c = _reduce_to_coprime(decode_candidate(v))
-        y = descend_claim_ii(claim_ii(claim_i(c)))
-        return quad_encode(*y)
+        c = _reduce_to_coprime(CandidateSolution(*quad_decode(v)))
+        return quad_encode(*descend_claim_ii(claim_ii(claim_i(c))))
 
     def describe(v: int) -> str:
         return "candidate ({}, {}, {}, {})".format(*quad_decode(v))
@@ -335,11 +326,8 @@ def walsh_family() -> IndexedDescentFamily:
 
     def weight(v: int) -> int:
         tag, payload = pair_decode(v)
-        if tag == 0:
-            x0, x1, x2, x3 = quad_decode(payload)
-            return walsh_start_weight(x2, x3)
-        e, f, _, _ = quad_decode(payload)
-        return walsh_state_weight(e, f)
+        x0, x1, x2, x3 = quad_decode(payload)  # a state is (e, f, g, h)
+        return walsh_start_weight(x2, x3) if tag == 0 else walsh_state_weight(x0, x1)
 
     # P_0 fails only on a counterexample tagged 0 and P_1 only on a claim-II
     # state tagged 1, so each step reads its payload without a test.

@@ -80,6 +80,36 @@ MUTANTS = [
         "a hit reports its primitive triple without the multiples",
     ),
     Mutant(
+        "scan-leg-factor", CERT,
+        "sorted((2 * p * q, p * p - q * q))", "sorted((3 * p * q, p * p - q * q))",
+        ("tests/test_fermat.py",),
+        "a hit's even leg is 3pq",
+    ),
+    Mutant(
+        "scan-leg-sum", CERT,
+        "sorted((2 * p * q, p * p - q * q))", "sorted((2 * p * q, p * p + q * q))",
+        ("tests/test_fermat.py",),
+        "a hit's odd leg is p^2 + q^2",
+    ),
+    Mutant(
+        "scan-hypotenuse", CERT,
+        "x2 = p * p + q * q", "x2 = p * p - q * q",
+        ("tests/test_fermat.py",),
+        "a hit's hypotenuse is p^2 - q^2",
+    ),
+    Mutant(
+        "exact-test-sum", CERT,
+        "half = p * q * (p * p - q * q)", "half = p * q * (p * p + q * q)",
+        ("tests/test_fermat.py",),
+        "the exact test reads pq(p^2 + q^2), and the hit at p = q = 1 is lost",
+    ),
+    Mutant(
+        "elapsed-sum", CERT,
+        "round(time.monotonic() - start, 3)", "round(time.monotonic() + start, 3)",
+        ("tests/test_cli.py",),
+        "a search reports twice the clock reading as its time",
+    ),
+    Mutant(
         "cache-strip", CERT,
         'line.rstrip("\\n")', "line.strip()",
         ("tests/test_cli.py",),
@@ -126,6 +156,13 @@ MUTANTS = [
         "return not _solves(*quad_decode(v))", "return True",
         ("tests/test_fermat.py",),
         "the fermat predicate holds even on a counterexample",
+    ),
+    Mutant(
+        "solves-not-pythagorean", FERMAT,
+        "x0 * x0 + x1 * x1 == x2 * x2", "x0 * x0 + x1 * x1 != x2 * x2",
+        ("tests/test_fermat.py",),
+        "a non-triple whose leg product is twice a square, code 57 = (1, 2, 0, 1), "
+        "counts as a counterexample",
     ),
     Mutant(
         "cap-8", FERMAT,
@@ -202,6 +239,30 @@ MUTANTS = [
         "\n    def __new__(cls, instance",
         ("tests/test_descent.py",),
         "a trace's _replace takes an unknown outcome",
+    ),
+    Mutant(
+        "pentagon-window", ENGINE,
+        "if not n < m < 2 * n:", "if not n < m <= 2 * n:",
+        ("tests/test_descent.py",),
+        "the proportion 2:1, at the window's open upper end, steps to 1:0",
+    ),
+    Mutant(
+        "check-bound-1", ENGINE,
+        "if bound < 1:\n        raise UsageError", "if bound <= 1:\n        raise UsageError",
+        ("tests/test_cli.py",),
+        "`check` rejects the bound 1",
+    ),
+    Mutant(
+        "check-limit", ENGINE,
+        "if bound > limit:", "if bound >= limit:",
+        ("tests/test_cli.py",),
+        "`check` rejects the bound at its own limit",
+    ),
+    Mutant(
+        "descent-start-0", ENGINE,
+        "if any(v < 0 for v in values):", "if any(v <= 0 for v in values):",
+        ("tests/test_cli.py",),
+        "`descent` rejects the start value 0",
     ),
     Mutant(
         "start-limit", ENGINE,

@@ -129,6 +129,16 @@ def _cantor_decode(v: int) -> tuple[int, int]:
     return s - b, b
 
 
+def quad_code_is_counterexample(v: int) -> bool:
+    """Whether the quadruple that v codes by nested Cantor pairing,
+    ((x0, x1), (x2, x3)), has positive legs, x0^2 + x1^2 = x2^2 and
+    x0*x1 = 2*x3^2."""
+    left, right = _cantor_decode(v)
+    x0, x1 = _cantor_decode(left)
+    x2, x3 = _cantor_decode(right)
+    return x0 >= 1 and x1 >= 1 and x0 * x0 + x1 * x1 == x2 * x2 and x0 * x1 == 2 * x3 * x3
+
+
 @lru_cache(maxsize=None)
 def left_code_triple_codes(bound: int) -> tuple[int, ...]:
     """The codes that brute_triple_codes lists, for bounds too large for it,

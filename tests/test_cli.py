@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,22 @@ def test_search_bound_500_jsonl():
     assert recs[-1]["bound"] == 500 and recs[-1]["count"] == 0
     assert all(r["record"] == "solution" for r in recs[:-1])
     assert recs[:-1] == []
+
+
+def test_search_elapsed_is_within_the_measured_wall_time():
+    """The footer's elapsed, in text and in JSONL, is the search's own time:
+    at least 0 and at most the wall time around the whole command, give or
+    take its rounding to milliseconds."""
+    for fmt in ("text", "jsonl"):
+        start = time.monotonic()
+        code, lines = run_cli("search", "--bound", "1000000000000", "--format", fmt)
+        wall = time.monotonic() - start
+        assert code == EXIT_OK
+        if fmt == "jsonl":
+            elapsed = json.loads(lines[-1])["elapsed"]
+        else:
+            elapsed = float(re.fullmatch(r"bound \d+: 0 counterexample\(s\) in (.*)s", lines[-1])[1])
+        assert 0 <= elapsed <= wall + 0.0005
 
 
 def test_search_resume_identical_footer(tmp_path):
@@ -288,6 +305,20 @@ def test_descent_pentagon():
     assert len(lines) == 4  # three entries + outcome
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # 2:1 claims the golden proportion (1 <= n <= m), but m = 2n lies
+        # outside the open window n < m < 2n, so no step is defined.
+        ("descent pentagon 2 1", ["  weight 2  proportion 2:1", "outcome: step-undefined"]),
+        # The start 0 is a natural, and (0, 0) is in the gcd base.
+        ("descent gcd 0 0", ["  weight 0  pair (0, 0)", "outcome: predicate-holds"]),
+    ],
+)
+def test_descent_ends_at_its_start(argv, lines):
+    assert run_cli(*argv.split()) == (EXIT_OK, lines)
+
+
 def test_descent_vii31_360_ends_at_2():
     code, lines = run_cli("descent", "vii31", "360")
     assert code == EXIT_OK
@@ -321,6 +352,13 @@ def test_descent_fermat_prints_guard_and_certificate_pointer():
     code, lines = run_cli("descent", "walsh", "3", "4", "5", "1")
     assert code == EXIT_OK
     assert lines[0].startswith("guard rejection:")
+
+
+def test_descent_fermat_guard_rejects_a_non_triple_with_square_area():
+    """x0*x1 = 2 = 2*1^2, but 1 + 4 != 49: no counterexample, no step."""
+    code, lines = run_cli("descent", "fermat", "1", "2", "7", "1")
+    assert code == EXIT_OK
+    assert lines[0].startswith("guard rejection: (1, 2, 7, 1) is not a counterexample")
 
 
 def test_guard_pointer_and_readme_commands_run(tmp_path, monkeypatch):
@@ -430,6 +468,19 @@ def test_check_id_vii31_10000():
     code, lines = run_cli("check", "id", "vii31", "10000")
     assert code == EXIT_OK
     assert lines[-1].endswith("ok")
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        ("check id vii31 1", "id check of 'vii31' up to 1: ok"),
+        # The gcd bound is over pair components: pair_encode(1, 1) = 4.
+        ("check rd gcd 1", "rd check of 'gcd' up to 4: ok"),
+        ("check idprime walsh 100000000000", "idprime check of 'walsh' up to 100000000000: ok"),
+    ],
+)
+def test_check_runs_at_bound_1_and_at_its_limit(argv, last):
+    assert run_cli(*argv.split()) == (EXIT_OK, [last])
 
 
 def test_check_rd_gcd_200():

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from descente import DomainError
@@ -63,6 +63,9 @@ def test_pair_is_bijective_on_prefix():
 
 
 @given(st.tuples(*[st.integers(0, 10**4)] * 4))
+@example((0, 0, 0, 0))
+@example((3, 4, 5, 1))
+@example((20, 99, 101, 30))
 def test_quad_round_trip(t):
     assert quad_decode(quad_encode(*t)) == t
 
@@ -728,6 +731,8 @@ def test_pentagon_step_examples():
         pentagon_step(1, 1)
     with pytest.raises(DomainError):
         pentagon_step(5, 2)
+    with pytest.raises(DomainError, match="outside the window"):
+        pentagon_step(2, 1)  # m = 2n, the window's open upper end
 
 
 def test_pentagon_fibonacci_pairs():

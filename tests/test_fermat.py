@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from descente import DomainError, certificate, fermat
-from descente.certificate import _multiples, generator_pairs, scan_generator_block
+from descente.certificate import generator_pairs, scan_generator_block
 from descente.core_arith import coprime
 from descente.descent_engine import (
     check_id,
@@ -29,9 +29,7 @@ from descente.fermat import (
     ClaimIData,
     ClaimIIData,
     claim_i,
-    decode_candidate,
     degenerate_solutions,
-    encode_candidate,
     exhaustive_search,
     fermat_instance,
     frenicle_descend,
@@ -43,6 +41,8 @@ from descente.fermat import (
     walsh_start_weight,
     walsh_state_weight,
 )
+
+from .oracles import quad_code_is_counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +251,7 @@ def test_fermat_instance_check_id_vacuous():
 
 
 def test_fermat_instance_weights():
-    v = encode_candidate(CandidateSolution(3, 4, 5, 1))
-    assert fermat_instance().weight(v) == 5
+    assert fermat_instance().weight(quad_encode(3, 4, 5, 1)) == 5
 
 
 def test_walsh_family_check_vacuous_at_500():
@@ -358,16 +357,21 @@ def test_walsh_descent_from_a_state_ends_where_p0_holds():
 
 
 # The forms the checked predicates must agree with: decode the whole code,
-# build the record, and test the condition.  Besides the real conditions,
+# build the record, and test the condition.  The real counterexample
+# condition is the package-free oracle's.  Besides the real conditions,
 # relaxed ones (the area or the difference equation dropped) make some
 # values fail, so that the agreement is not only on True.
-def _by_full_decoding(v):
+def _by_full_decoding(v, form):
+    def solves(code):
+        if form == "real":
+            return quad_code_is_counterexample(code)
+        return is_counterexample(CandidateSolution(*quad_decode(code)))
+
     tag, payload = pair_decode(v)
-    quad = quad_decode(payload)
     return (
-        not is_counterexample(decode_candidate(v)),
-        tag != 0 or not is_counterexample(CandidateSolution(*quad)),
-        tag != 1 or not fermat._is_claim_ii_tuple(*quad),
+        not solves(v),
+        tag != 0 or not solves(payload),
+        tag != 1 or not fermat._is_claim_ii_tuple(*quad_decode(payload)),
     )
 
 
@@ -393,7 +397,7 @@ def test_checked_predicates_agree_with_full_decoding_below_200000(form, monkeypa
     p0, p1 = walsh_family().predicates
     values = range(200_000)
     got = [(fermat_p(v), p0(v), p1(v)) for v in values]
-    assert got == [_by_full_decoding(v) for v in values]
+    assert got == [_by_full_decoding(v, form) for v in values]
     if form == "relaxed":
         assert not all(p for p, _, _ in got)
 
@@ -433,7 +437,7 @@ def test_checked_predicates_agree_with_full_decoding_on_large_codes(quad, tag, f
         for name, relaxed in FORMS[form].items():
             mp.setattr(fermat, name, relaxed)
         for v in (code, pair_encode(tag, code), pair_encode(tag, state)):
-            assert _by_checked_predicates(v) == _by_full_decoding(v)
+            assert _by_checked_predicates(v) == _by_full_decoding(v, form)
 
 
 def test_fermat_candidates_are_the_brute_triple_codes():
@@ -526,14 +530,9 @@ def test_relaxed_fermat_descent_and_check_report_the_broken_precondition(monkeyp
 
 def test_run_descent_fermat_trivially_holds():
     inst = fermat_instance()
-    trace = run_descent(inst, encode_candidate(CandidateSolution(3, 4, 5, 1)), 10)
+    trace = run_descent(inst, quad_encode(3, 4, 5, 1), 10)
     assert trace.outcome == "predicate-holds"
     assert len(trace.entries) == 1
-
-
-def test_candidate_encoding_round_trip():
-    for t in ((0, 0, 0, 0), (3, 4, 5, 1), (20, 99, 101, 30)):
-        assert tuple(decode_candidate(encode_candidate(CandidateSolution(*t)))) == t
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +579,11 @@ def test_multiple_is_twice_a_square_iff_primitive_is(a, b, d):
 
 
 def test_multiples_emits_every_multiple_up_to_the_bound():
-    assert _multiples((3, 4, 5, 1), 100) == [(3 * d, 4 * d, 5 * d, d) for d in range(1, 21)]
-    assert _multiples((3, 4, 5, 1), 4) == []
+    """p = q = 1 is no generator pair, but its half leg product 0 is a
+    square, and its legs 2 and 0 and hypotenuse 2 tell each formula of the
+    hit path from its sign or factor flipped."""
+    assert scan_generator_block(1, 1, 10) == [(0, 2 * d, 2 * d, 0) for d in range(1, 6)]
+    assert scan_generator_block(1, 1, 1) == []
 
 
 def test_exhaustive_search_zeros_admitted():
