@@ -535,6 +535,12 @@ def test_run_descent_fermat_trivially_holds():
     assert len(trace.entries) == 1
 
 
+def test_candidate_encoding_round_trip():
+    for t in ((0, 0, 0, 0), (3, 4, 5, 1), (20, 99, 101, 30)):
+        code = quad_encode(*CandidateSolution(*t))
+        assert CandidateSolution(*quad_decode(code)) == t
+
+
 # ---------------------------------------------------------------------------
 # exhaustive search
 
