@@ -30,18 +30,18 @@ from . import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, DomainError
 MAX_BOUND = 10**28
 
 
-def generator_pairs(max_x2: int):
-    """Yield every coprime opposite-parity pair (p, q) with p > q >= 1 and
-    p^2 + q^2 <= max_x2, in increasing p, then increasing q.
-
-    These are exactly the generators of the primitive triples with positive
-    legs and hypotenuse at most max_x2.
+def primitive_triples(max_x2: int):
+    """Yield (x0, x1, x2, p, q) for every primitive triple with positive legs
+    x0 < x1 and hypotenuse x2 <= max_x2, where p > q >= 1 are its generators:
+    coprime, of opposite parity, with legs 2pq and p^2 - q^2 and hypotenuse
+    p^2 + q^2.  The pairs come in increasing p, then increasing q.
     """
     p = 2
     while p * p + 1 <= max_x2:
         for q in range(1 if p % 2 == 0 else 2, min(p, math.isqrt(max_x2 - p * p) + 1), 2):
             if math.gcd(p, q) == 1:
-                yield p, q
+                a, b, c = 2 * p * q, p * p - q * q, p * p + q * q
+                yield (a, b, c, p, q) if a < b else (b, a, c, p, q)
         p += 1
 
 
@@ -87,15 +87,6 @@ def _load_cache(cache_path: str) -> int:
                     except ValueError:  # more digits than int() converts
                         pass
     return last
-
-
-def _ends_mid_line(path: str) -> bool:
-    """True iff the file at path is non-empty and does not end in a newline."""
-    with open(path, "rb") as fh:
-        if fh.seek(0, os.SEEK_END) == 0:
-            return False
-        fh.seek(-1, os.SEEK_END)
-        return fh.read(1) != b"\n"
 
 
 def search(
@@ -162,15 +153,18 @@ def search(
             os.remove(cache_path)
     found: list[tuple[int, int, int, int]] = []
     # isqrt(isqrt(n)) is the integer fourth root of n.
-    for r, s in generator_pairs(math.isqrt(math.isqrt(2 * bound_x2))):
-        f, e = sorted((2 * r * s, r * r - s * s))
+    for f, e, _, _, _ in primitive_triples(math.isqrt(math.isqrt(2 * bound_x2))):
         p, q = e * e, f * f
         if p * p + q * q <= bound_x2:
             found.extend(scan_generator_block(p, q, bound_x2))
     if cache_path is not None and not found:
-        with open(cache_path, "a", encoding="utf-8") as cache:
+        with open(cache_path, "a+b") as cache:
             # A cut-off last line must not merge with the new mark.
-            cache.write(("\n" if _ends_mid_line(cache_path) else "") + f"upto {bound_x2}\n")
+            cut = False
+            if cache.seek(0, os.SEEK_END):
+                cache.seek(-1, os.SEEK_END)
+                cut = cache.read(1) != b"\n"
+            cache.write(b"\n" * cut + b"upto %d\n" % bound_x2)
     return sorted(set(found))
 
 

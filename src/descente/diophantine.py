@@ -21,7 +21,7 @@ MAX_X2 = 10**5
 
 # proportions is imported inside the three functions that split squares, so
 # that `decompose triple` and `triples` do not load it, and certificate, the
-# home of generator_pairs, inside cmd_triples, so that `decompose` does not
+# home of primitive_triples, inside cmd_triples, so that `decompose` does not
 # load it.
 
 
@@ -151,7 +151,7 @@ def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
     already in that order, so a heap merges them as they are printed."""
     from heapq import merge
 
-    from .certificate import generator_pairs
+    from .certificate import primitive_triples
 
     if max_x2 < 1:
         raise UsageError("max_x2 must be >= 1")
@@ -160,13 +160,11 @@ def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
     if fmt == "jsonl":
         from .jsonl import dumps
 
-    def multiples(p: int, q: int):
-        x0, x1 = sorted((2 * p * q, p * p - q * q))
-        x2 = p * p + q * q
+    def multiples(x0: int, x1: int, x2: int, p: int, q: int):
         for d in range(1, 2 if primitive_only else max_x2 // x2 + 1):
             yield d * x2, d * x0, d * x1, p, q, d
 
-    for x2, x0, x1, p, q, d in merge(*(multiples(p, q) for p, q in generator_pairs(max_x2))):
+    for x2, x0, x1, p, q, d in merge(*(multiples(*t) for t in primitive_triples(max_x2))):
         if fmt == "jsonl":
             rec = dict(record="triple", x0=x0, x1=x1, x2=x2, p=p, q=q, factor=d, primitive=d == 1)
             print(dumps(rec), file=out)

@@ -253,17 +253,16 @@ def _triple_codes(bound: int) -> list[int]:
     A code pair_encode(L, R) is at least L(L + 1)/2 > L^2/2, and as
     x0 + x1 > x2, L = pair_encode(x0, x1) > x2(x2 + 1)/2 > x2^2/2.  So each
     such code <= bound has x2^4 < 8*bound: it is a code of a multiple, in
-    either leg order, of a primitive triple with hypotenuse at most
+    either leg order, of a triple of primitive_triples(cap), cap =
     (8*bound)^(1/4), with R = pair_encode(x2, t) in increasing t while the
     code stays <= bound (Cantor pairing increases in each argument).
     """
-    from .certificate import generator_pairs
+    from .certificate import primitive_triples
 
     codes = []
     # isqrt(isqrt(n)) is the integer fourth root of n.
     cap = math.isqrt(math.isqrt(8 * bound))
-    for p, q in generator_pairs(cap):
-        a, b, c = 2 * p * q, p * p - q * q, p * p + q * q
+    for a, b, c, _, _ in primitive_triples(cap):
         for d in range(1, cap // c + 1):
             for left in (pair_encode(d * a, d * b), pair_encode(d * b, d * a)):
                 t = 0

@@ -43,10 +43,28 @@ MUTANTS = [
     ),
     Mutant(
         "fourth-root-2", CERT,
-        "generator_pairs(math.isqrt(math.isqrt(2 * bound_x2)))",
-        "generator_pairs(math.isqrt(math.isqrt(bound_x2)))",
+        "primitive_triples(math.isqrt(math.isqrt(2 * bound_x2)))",
+        "primitive_triples(math.isqrt(math.isqrt(bound_x2)))",
         ("tests/test_certificate.py",),
         "Claim II's hypotenuse cap (2N)^(1/4) without its 2 drops pairs",
+    ),
+    Mutant(
+        "triple-leg-order", CERT,
+        "if a < b else", "if a > b else",
+        ("tests/test_fermat.py",),
+        "the enumeration yields the larger leg first",
+    ),
+    Mutant(
+        "triple-even-leg", CERT,
+        "a, b, c = 2 * p * q,", "a, b, c = 3 * p * q,",
+        ("tests/test_fermat.py",),
+        "the enumeration's even leg is 3pq",
+    ),
+    Mutant(
+        "triple-hypotenuse", CERT,
+        "p * p - q * q, p * p + q * q", "p * p - q * q, p * p - q * q",
+        ("tests/test_fermat.py",),
+        "the enumeration's hypotenuse is p^2 - q^2",
     ),
     Mutant(
         "exact-test", CERT,
@@ -108,6 +126,12 @@ MUTANTS = [
         "round(time.monotonic() - start, 3)", "round(time.monotonic() + start, 3)",
         ("tests/test_cli.py",),
         "a search reports twice the clock reading as its time",
+    ),
+    Mutant(
+        "mid-line-newline", CERT,
+        'b"\\n" * cut + ', "",
+        ("tests/test_cli.py",),
+        "a mark appended to a cut-off last line merges with it",
     ),
     Mutant(
         "cache-strip", CERT,

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from descente import certificate
-from descente.certificate import generator_pairs
+from descente.certificate import primitive_triples
 
 from .oracles import claim_ii_pairs, is_perfect_square, primitive_triple_count
 
@@ -37,10 +37,11 @@ def _tested(bound):
 
 
 def _claim_ii_pairs(bound):
-    """The pairs of generator_pairs(bound) with square p, q and p + q."""
+    """The generator pairs of primitive_triples(bound) with square p, q and
+    p + q."""
     return [
         (p, q)
-        for p, q in generator_pairs(bound)
+        for *_, p, q in primitive_triples(bound)
         if is_perfect_square(p) and is_perfect_square(q) and is_perfect_square(p + q)
     ]
 
@@ -77,15 +78,15 @@ def test_generator_pairs_meet_the_claim_i_hypothesis():
     # The lemma in certificate.search: p, q, p - q and p + q are pairwise
     # coprime for every generator pair.  For p = e^2 and q = f^2 that is
     # also Claim II's: e^2 - f^2 and e^2 + f^2 are coprime.
-    for p, q in generator_pairs(10**5):
+    for *_, p, q in primitive_triples(10**5):
         for a, b in combinations((p, q, p - q, p + q), 2):
             assert math.gcd(a, b) == 1, (p, q)
 
 
 def test_coverage_at_1e7_equals_the_moebius_count():
-    # generator_pairs, the one enumeration of the generator pairs, yields one
-    # pair per primitive triple.
-    covered = sum(1 for _ in generator_pairs(10**7))
+    # primitive_triples, the one enumeration of the generator pairs, yields
+    # each primitive triple once.
+    covered = sum(1 for _ in primitive_triples(10**7))
     assert covered == primitive_triple_count(10**7) == 1_591_579
 
 

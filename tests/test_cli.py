@@ -107,7 +107,7 @@ def test_triples_above_the_limit_exits_64_before_any_pair(monkeypatch, capsys):
     import descente.certificate as certificate
 
     called = []
-    monkeypatch.setattr(certificate, "generator_pairs", lambda *a: called.append(a) or iter(()))
+    monkeypatch.setattr(certificate, "primitive_triples", lambda *a: called.append(a) or iter(()))
     for fmt in ("text", "jsonl"):
         assert run_cli("triples", str(10**5 + 1), "--format", fmt) == (EXIT_USAGE, [])
         err = capsys.readouterr().err.splitlines()
@@ -116,6 +116,14 @@ def test_triples_above_the_limit_exits_64_before_any_pair(monkeypatch, capsys):
     assert called == []
     assert run_cli("triples", str(10**5), "--primitive-only") == (EXIT_OK, [])
     assert called == [(10**5,)]
+
+
+def test_triples_at_the_limit_prints_one_row_per_primitive_triple():
+    from .oracles import primitive_triple_count
+
+    code, lines = run_cli("triples", str(10**5), "--primitive-only")
+    assert code == EXIT_OK
+    assert len(lines) == primitive_triple_count(10**5) == 15_919
 
 
 # ---------------------------------------------------------------------------

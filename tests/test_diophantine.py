@@ -6,7 +6,7 @@ import math
 import pytest
 
 from descente import DomainError
-from descente.certificate import generator_pairs
+from descente.certificate import primitive_triples
 from descente.core_arith import coprime
 from descente.diophantine import (
     Generators,
@@ -135,7 +135,12 @@ def test_parametrization_five_equations_up_to_1000():
 
 
 def test_generator_pairs_enumerate_the_primitive_triples():
-    got = {tuple(generate_triple(Generators(0, p, q))) for p, q in generator_pairs(300)}
+    got = set()
+    for x0, x1, x2, p, q in primitive_triples(300):
+        a, b, c = generate_triple(Generators(0, p, q))
+        # Both statements of the parametrization give the same triple.
+        assert (x0, x1, x2) == (min(a, b), max(a, b), c), (p, q)
+        got.add((a, b, c))
     want = {(x0, x1, x2) for x0, x1, x2 in brute_primitive_triples(300) if x0 % 2 == 0}
     assert got == want
     assert (4, 3, 5) in got

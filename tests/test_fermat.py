@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from descente import DomainError, certificate, fermat
-from descente.certificate import generator_pairs, scan_generator_block
+from descente.certificate import primitive_triples, scan_generator_block
 from descente.core_arith import coprime
 from descente.descent_engine import (
     check_id,
@@ -461,7 +461,7 @@ def test_fermat_candidates_are_the_brute_triple_codes():
 @example(10**8)
 @example(10**10)
 def test_fermat_candidates_are_the_left_code_walk(bound):
-    """The candidates walk generator_pairs under a hypotenuse cap; the
+    """The candidates walk primitive_triples under a hypotenuse cap; the
     oracle walks every left code.  They agree where a cap without its
     factor 8 would lose codes (10^8 and 10^10), not only below 300,000."""
     from .oracles import left_code_triple_codes
@@ -564,7 +564,7 @@ def test_scan_generator_block_agrees_with_multiples_oracle_at_1e5():
     # (1, 0) is no generator pair, but its half leg product 0 is a square:
     # its block is every (0, d, d, 0), the multiples of the degenerate
     # solution (0, 1, 1, 0), so the exact test's hit path runs too.
-    for p, q in [(1, 0), *generator_pairs(bound)]:
+    for p, q in [(1, 0), *((p, q) for *_, p, q in primitive_triples(bound))]:
         block = scan_generator_block(p, q, bound)
         assert block == brute_multiples_scan(p, q, bound)
         hits += block
@@ -613,30 +613,25 @@ def test_generator_pairs_cover_all_primitive_triples():
 
     bound = 200
     covered = set()
-    for p, q in generator_pairs(bound):
+    for x0, x1, x2, p, q in primitive_triples(bound):
         for sol in scan_generator_block(p, q, bound):
             covered.add(sol)
-        legs = sorted((2 * p * q, p * p - q * q))
-        covered.add((legs[0], legs[1], p * p + q * q))
+        covered.add((x0, x1, x2))
     primitive_legs = {
         tuple(sorted((x0, x1))) + (x2,) for x0, x1, x2 in brute_primitive_triples(bound)
     }
-    block_triples = {
-        tuple(sorted((2 * p * q, p * p - q * q))) + (p * p + q * q,)
-        for p, q in generator_pairs(bound)
-    }
-    assert primitive_legs == block_triples
+    assert covered == primitive_legs
 
 
 def test_generator_pairs_equal_a_brute_listing_to_400():
     for bound in range(1, 401):
         brute = [
-            (p, q)
+            (min(2 * p * q, p * p - q * q), max(2 * p * q, p * p - q * q), p * p + q * q, p, q)
             for p in range(2, 21)
             for q in range(1, p)
             if (p + q) % 2 and math.gcd(p, q) == 1 and p * p + q * q <= bound
         ]
-        assert list(generator_pairs(bound)) == brute
+        assert list(primitive_triples(bound)) == brute
 
 
 def test_search_with_cache_resumes(tmp_path):
