@@ -165,7 +165,9 @@ def search(
                 cache.seek(-1, os.SEEK_END)
                 cut = cache.read(1) != b"\n"
             cache.write(b"\n" * cut + b"upto %d\n" % bound_x2)
-    return sorted(set(found))
+    # No tuple repeats: distinct pairs have distinct primitive triples, and
+    # the multiples of distinct primitive triples are disjoint.
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,7 @@ class Factorization(namedtuple("Factorization", "factors")):
     """Canonical prime factorization: (prime, exponent) pairs, primes increasing."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, factors: tuple[tuple[int, int], ...]):
         primes = [p for p, _ in factors]

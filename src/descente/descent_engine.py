@@ -17,6 +17,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator
+from itertools import count
 
 from . import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_PRECONDITION, DomainError, UsageError
 
@@ -139,7 +140,9 @@ class IndexedDescentFamily(
 # reports and traces
 
 
-Failure = namedtuple("Failure", "value kind detail index", defaults=(None,))
+# Failure and TraceEntry keep their fields in the order that their JSONL
+# records list them, so that the renderers spread _asdict().
+Failure = namedtuple("Failure", "value index kind detail")
 
 
 class Report(namedtuple("Report", "schema instance bound failures")):
@@ -152,20 +155,8 @@ class Report(namedtuple("Report", "schema instance bound failures")):
     def to_jsonl(self) -> list[str]:
         from .jsonl import dumps
 
-        lines = [
-            dumps(
-                {
-                    "record": "failure",
-                    "schema": self.schema,
-                    "instance": self.instance,
-                    "value": f.value,
-                    "index": f.index,
-                    "kind": f.kind,
-                    "detail": f.detail,
-                }
-            )
-            for f in self.failures
-        ]
+        head = {"record": "failure", "schema": self.schema, "instance": self.instance}
+        lines = [dumps({**head, **f._asdict()}) for f in self.failures]
         lines.append(
             dumps(
                 {
@@ -231,15 +222,7 @@ class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
         from .jsonl import dumps
 
         lines = [
-            dumps(
-                {
-                    "record": "trace-entry",
-                    "instance": self.instance,
-                    "value": e.value,
-                    "weight": e.weight,
-                    "label": e.label,
-                }
-            )
+            dumps({"record": "trace-entry", "instance": self.instance, **e._asdict()})
             for e in self.entries
         ]
         lines.append(
@@ -266,32 +249,6 @@ class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
 
 # ---------------------------------------------------------------------------
 # checkers
-
-
-def _step_obligations(
-    step: Step,
-    weight: Weight,
-    target_pred: Predicate,
-    v: int,
-    failures: list[Failure],
-    index: int | None = None,
-) -> None:
-    try:
-        u = step(v)
-    except Exception as exc:  # malformed instances become data, not exceptions
-        failures.append(Failure(v, "step-error", f"step raised {exc!r}", index))
-        return
-    if u is None:
-        failures.append(Failure(v, "step-undefined", "no smaller counterexample produced", index))
-        return
-    if weight(u) >= weight(v):
-        failures.append(
-            Failure(v, "weight-not-decreased", f"weight {weight(v)} -> {weight(u)}", index)
-        )
-    if target_pred(u):
-        failures.append(
-            Failure(v, "step-not-counterexample", f"step output {u} satisfies the predicate", index)
-        )
 
 
 def _check(
@@ -325,10 +282,25 @@ def _check(
                 continue
             if base is not None and base(v):
                 failures.append(
-                    Failure(v, "base-without-predicate", "base holds but predicate fails", index)
+                    Failure(v, index, "base-without-predicate", "base holds but predicate fails")
                 )
-            else:
-                _step_obligations(step, weight, target, v, failures, index)
+                continue
+            try:
+                u = step(v)
+            except Exception as exc:  # malformed instances become data, not exceptions
+                failures.append(Failure(v, index, "step-error", f"step raised {exc!r}"))
+                continue
+            if u is None:
+                failures.append(
+                    Failure(v, index, "step-undefined", "no smaller counterexample produced")
+                )
+                continue
+            if weight(u) >= weight(v):
+                detail = f"weight {weight(v)} -> {weight(u)}"
+                failures.append(Failure(v, index, "weight-not-decreased", detail))
+            if target(u):
+                detail = f"step output {u} satisfies the predicate"
+                failures.append(Failure(v, index, "step-not-counterexample", detail))
     return Report(schema, name, bound, tuple(failures))
 
 
@@ -379,6 +351,9 @@ def run_descent(
     steps[min(k, n - 1)] at its k-th step, the pairing that check_id_prime
     certifies: P_i steps into P_{i+1}, and the last predicate into itself.
 
+    The predicate is tested before the step cap, so a walk whose predicate
+    holds after exactly max_steps steps ends predicate-holds, and one where it
+    still fails there (at the start, for max_steps <= 0) ends bound-exceeded.
     A step that does not lower the weight ends the trace weight-not-decreased,
     with its output as the last entry.  A step that raises ends it step-error,
     unless it raises DomainError: that is a precondition the arithmetic cannot
@@ -394,9 +369,10 @@ def run_descent(
     last = len(predicates) - 1
     entries = [TraceEntry(start, inst.weight(start), inst.describe(start))]
     v = start
-    outcome = "predicate-holds" if predicates[0](v) else None
-    k = 0
-    while outcome is None:
+    for k in count():
+        if predicates[min(k, last)](v):
+            outcome = "predicate-holds"
+            break
         if k >= max_steps:
             outcome = "bound-exceeded"
             break
@@ -415,9 +391,6 @@ def run_descent(
             outcome = "weight-not-decreased"
             break
         v = u
-        k += 1
-        if predicates[min(k, last)](v):
-            outcome = "predicate-holds"
     return DescentTrace(inst.name, tuple(entries), outcome)
 
 
@@ -558,34 +531,19 @@ def gcd_instance() -> ReductionDescentInstance:
 # instance registry and the descent and check commands
 
 
-def _fermat_trace(values: list[int]) -> tuple[object, int]:
-    from .fermat import fermat_instance
+def _fermat():
+    from . import fermat
 
-    return fermat_instance(), quad_encode(*values)
-
-
-def _fermat_id(bound: int):
-    from .fermat import fermat_instance
-
-    return check_id(fermat_instance(), bound)
-
-
-def _walsh_trace(values: list[int]) -> tuple[object, int]:
-    from .fermat import CandidateSolution, encode_walsh_candidate, walsh_family
-
-    return walsh_family(), encode_walsh_candidate(CandidateSolution(*values))
-
-
-def _walsh_idprime(bound: int):
-    from .fermat import walsh_family
-
-    return check_id_prime(walsh_family(), bound)
+    return fermat
 
 
 # The named instances: name -> (start-value count, trace factory taking the
 # start values to (instance, encoded start), {schema: (largest bound the
-# check accepts, report factory taking the bound)}).  Only the fermat and
-# walsh entries import descente.fermat, when they run.
+# check accepts, report factory taking the bound)}).  The fermat and walsh
+# entries reach descente.fermat through _fermat(), which imports it only when
+# a factory runs.  Every check factory calls check_id, check_rd or
+# check_id_prime by its module-global name, so a wrapper put on that name
+# sees each check.
 #
 # Each check's limit keeps it to a few seconds as a subprocess (Python 3.11,
 # 2 CPUs): 2*10**7 for vii31 takes about 1.1 s, and 3,000 for the gcd side
@@ -609,8 +567,19 @@ INSTANCES = {
         # The bound is over pair components, translated to the Cantor encoding.
         {"rd": (3000, lambda bound: check_rd(gcd_instance(), pair_encode(bound, bound)))},
     ),
-    "fermat": (4, _fermat_trace, {"id": (10**11, _fermat_id)}),
-    "walsh": (4, _walsh_trace, {"idprime": (10**11, _walsh_idprime)}),
+    "fermat": (
+        4,
+        lambda v: (_fermat().fermat_instance(), quad_encode(*v)),
+        {"id": (10**11, lambda bound: check_id(_fermat().fermat_instance(), bound))},
+    ),
+    "walsh": (
+        4,
+        lambda v: (
+            _fermat().walsh_family(),
+            _fermat().encode_walsh_candidate(_fermat().CandidateSolution(*v)),
+        ),
+        {"idprime": (10**11, lambda bound: check_id_prime(_fermat().walsh_family(), bound))},
+    ),
 }
 
 

@@ -27,6 +27,7 @@ MAX_X2 = 10**5
 
 class PythTriple(namedtuple("PythTriple", "x0 x1 x2")):
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, x0: int, x1: int, x2: int):
         check_natural(x0, x1, x2)
@@ -42,6 +43,7 @@ class Generators(namedtuple("Generators", "i p q")):
     """Coprime opposite-parity pair (p, q) with p > q; i marks the even leg."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, i: int, p: int, q: int):
         check_natural(p, q)

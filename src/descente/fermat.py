@@ -44,6 +44,7 @@ class ClaimIData(namedtuple("ClaimIData", "p q c e f")):
     squares differ by a square."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, p: int, q: int, c: int, e: int, f: int):
         from .core_arith import coprime
@@ -67,6 +68,7 @@ class ClaimIIData(namedtuple("ClaimIIData", "e f g h")):
     """Two squares whose sum and difference are both squares."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, e: int, f: int, g: int, h: int):
         from .core_arith import coprime

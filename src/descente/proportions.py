@@ -52,6 +52,7 @@ class NormalForm(namedtuple("NormalForm", "k y z n")):
     """Geometric normal form: terms[i] == k * y**(n+1-i) * z**i with y, z coprime."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, k: int, y: int, z: int, n: int):
         check_natural(k, y, z, n)

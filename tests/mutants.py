@@ -209,6 +209,13 @@ MUTANTS = [
         "the check loop visits no value",
     ),
     Mutant(
+        "base-no-continue", ENGINE,
+        '"base holds but predicate fails")\n                )\n                continue\n',
+        '"base holds but predicate fails")\n                )\n',
+        ("tests/test_descent.py",),
+        "a value in the base where the predicate fails is also stepped",
+    ),
+    Mutant(
         "weight-kept", ENGINE,
         "if weight(u) >= weight(v):", "if weight(u) > weight(v):",
         ("tests/test_descent.py",),
@@ -219,6 +226,12 @@ MUTANTS = [
         "u = steps[min(k, last)](v)", "u = steps[last](v)",
         ("tests/test_fermat.py",),
         "a family's walk takes its last step from the start",
+    ),
+    Mutant(
+        "walk-cap", ENGINE,
+        "if k >= max_steps:", "if k > max_steps:",
+        ("tests/test_descent.py",),
+        "a walk takes one step more than max_steps",
     ),
     Mutant(
         "rd-walks-predicate", ENGINE,
@@ -293,6 +306,14 @@ MUTANTS = [
         "if any(v >= START_LIMIT for v in values):", "if any(v > START_LIMIT for v in values):",
         ("tests/test_cli.py",),
         "the start 10**2000 is walked",
+    ),
+    Mutant(
+        "triple-make-unchecked", DIOPH,
+        '"x0 x1 x2")):\n    __slots__ = ()\n'
+        "    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too\n",
+        '"x0 x1 x2")):\n    __slots__ = ()\n',
+        ("tests/test_fermat.py",),
+        "a triple's _replace makes a non-triple unchecked",
     ),
     Mutant(
         "decompose-count", DIOPH,

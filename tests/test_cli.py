@@ -428,6 +428,33 @@ def test_descent_jsonl_just_below_the_start_limit(instance, capsys):
     assert err.endswith("\ndescente: error: start values must be below 10**2000\n")
 
 
+def test_the_step_cap_never_ends_a_descent_walk(monkeypatch):
+    """The deepest walk `descent` takes below its start limit, gcd from the
+    two largest consecutive Fibonacci numbers below 10**2000 (the smaller
+    first, so the walk begins with a swap), ends where its predicate holds,
+    within the step cap that the command passes.  The walk is rebuilt from
+    the arguments the command gave run_descent, so that 9,571 trace lines
+    need not be rendered."""
+    from descente import descent_engine
+    from descente.descent_engine import START_LIMIT, pair_decode, pair_encode, run_descent
+
+    small, large = 1, 2
+    while small + large < START_LIMIT:
+        small, large = large, small + large
+    calls = []
+
+    def spy(inst, start, max_steps):
+        calls.append((inst, start, max_steps))
+        return run_descent(inst, pair_encode(1, 0), max_steps)
+
+    monkeypatch.setattr(descent_engine, "run_descent", spy)
+    assert run_cli("descent", "gcd", str(small), str(large))[0] == EXIT_OK
+    ((inst, start, max_steps),) = calls
+    assert pair_decode(start) == (small, large)
+    trace = run_descent(inst, start, max_steps)
+    assert (trace.outcome, len(trace.entries)) == ("predicate-holds", 9571)
+
+
 @pytest.mark.parametrize(
     "argv, command, message",
     [

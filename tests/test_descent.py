@@ -32,7 +32,6 @@ from descente.descent_engine import (
     tagged,
     vii31_instance,
     vii31_rd_instance,
-    _step_obligations,
 )
 
 from . import oracles
@@ -154,6 +153,32 @@ def test_check_rd_base_without_predicate():
     assert any(f.value == 3 and f.kind == "base-without-predicate" for f in report.failures)
 
 
+def test_check_rd_records_only_the_base_failure_and_calls_no_step_there():
+    """A value in the base where the predicate fails is one failure, and
+    its step is not called, even though that step would fail too."""
+    stepped = []
+
+    def step(v):
+        stepped.append(v)
+        raise RuntimeError("boom")
+
+    inst = ReductionDescentInstance("base", lambda v: v == 3, lambda v: v != 3, lambda v: v, step)
+    assert [(f.value, f.index, f.kind, f.detail) for f in check_rd(inst, 5).failures] == [
+        (3, None, "base-without-predicate", "base holds but predicate fails"),
+    ]
+    assert stepped == []
+
+
+def test_check_id_records_a_kept_weight_before_a_satisfying_output():
+    """A step output that keeps the weight and satisfies the predicate gives
+    both failures at its value, weight-not-decreased first."""
+    inst = DescentInstance("both", lambda v: v != 4, lambda v: v // 2, lambda v: 5)
+    assert [(f.value, f.index, f.kind, f.detail) for f in check_id(inst, 6).failures] == [
+        (4, None, "weight-not-decreased", "weight 2 -> 2"),
+        (4, None, "step-not-counterexample", "step output 5 satisfies the predicate"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # rd_to_id
 
@@ -227,16 +252,33 @@ def test_rd_to_id_preserves_empty_reports_randomized():
 
 
 def _base_first_check_rd(inst: ReductionDescentInstance, bound: int) -> Report:
-    """check_rd as it read base at every value, before the predicate."""
+    """check_rd as it read base at every value, before the predicate, with
+    the step obligations stated here rather than taken from the engine."""
     failures = []
     for v in range(bound + 1):
         if inst.base(v):
             if not inst.predicate(v):
                 failures.append(
-                    Failure(v, "base-without-predicate", "base holds but predicate fails")
+                    Failure(v, None, "base-without-predicate", "base holds but predicate fails")
                 )
-        elif not inst.predicate(v):
-            _step_obligations(inst.step, inst.weight, inst.predicate, v, failures)
+            continue
+        if inst.predicate(v):
+            continue
+        try:
+            u = inst.step(v)
+        except Exception as exc:
+            failures.append(Failure(v, None, "step-error", f"step raised {exc!r}"))
+            continue
+        if u is None:
+            kind, detail = "step-undefined", "no smaller counterexample produced"
+            failures.append(Failure(v, None, kind, detail))
+            continue
+        before, after = inst.weight(v), inst.weight(u)
+        if after >= before:
+            failures.append(Failure(v, None, "weight-not-decreased", f"weight {before} -> {after}"))
+        if inst.predicate(u):
+            detail = f"step output {u} satisfies the predicate"
+            failures.append(Failure(v, None, "step-not-counterexample", detail))
     return Report("rd", inst.name, bound, tuple(failures))
 
 
@@ -642,6 +684,26 @@ def test_run_descent_bound_exceeded():
     assert len(trace.entries) == 4
 
 
+def test_run_descent_tests_the_predicate_before_the_step_cap():
+    """A walk whose predicate holds after exactly max_steps steps ends
+    predicate-holds; one step fewer allowed ends it bound-exceeded."""
+    inst = DescentInstance("down", lambda v: v == 0, lambda v: v, lambda v: v - 1)
+    for max_steps, outcome, values in [
+        (5, "predicate-holds", [5, 4, 3, 2, 1, 0]),
+        (4, "bound-exceeded", [5, 4, 3, 2, 1]),
+    ]:
+        trace = run_descent(inst, 5, max_steps)
+        assert (trace.outcome, [e.value for e in trace.entries]) == (outcome, values)
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_run_descent_with_no_steps_allowed_ends_at_a_failing_start(max_steps):
+    inst = DescentInstance("down", lambda v: v == 0, lambda v: v, lambda v: v - 1)
+    trace = run_descent(inst, 5, max_steps)
+    assert (trace.outcome, len(trace.entries)) == ("bound-exceeded", 1)
+    assert run_descent(inst, 0, max_steps).outcome == "predicate-holds"
+
+
 def test_run_descent_gcd():
     trace = run_descent(gcd_instance(), pair_encode(12, 9), 100)
     assert [pair_decode(e.value) for e in trace.entries] == [(12, 9), (9, 3), (3, 0)]
@@ -752,7 +814,10 @@ DEMO_REPORT = Report(
     "id",
     "demo",
     42,
-    (Failure(5, "weight-not-decreased", "weight 5 -> 7"), Failure(6, "step-undefined", "x", 1)),
+    (
+        Failure(5, None, "weight-not-decreased", "weight 5 -> 7"),
+        Failure(6, 1, "step-undefined", "x"),
+    ),
 )
 
 

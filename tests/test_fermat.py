@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from descente import DomainError, certificate, fermat
 from descente.certificate import primitive_triples, scan_generator_block
-from descente.core_arith import coprime
+from descente.core_arith import Factorization, coprime
 from descente.descent_engine import (
     check_id,
     check_id_prime,
@@ -23,7 +23,7 @@ from descente.descent_engine import (
     quad_encode,
     run_descent,
 )
-from descente.diophantine import PythTriple
+from descente.diophantine import Generators, PythTriple
 from descente.fermat import (
     CandidateSolution,
     ClaimIData,
@@ -41,6 +41,7 @@ from descente.fermat import (
     walsh_start_weight,
     walsh_state_weight,
 )
+from descente.proportions import NormalForm
 
 from .oracles import quad_code_is_counterexample
 
@@ -164,6 +165,30 @@ def test_claim_ii_data_messages(fields, message):
     """Each check of ClaimIIData, reached past all the ones before it."""
     with pytest.raises(DomainError, match=f"^{message}$"):
         ClaimIIData(*fields)
+
+
+@pytest.mark.parametrize(
+    "cls, good, other, bad",
+    [
+        (PythTriple, (3, 4, 5), (4, 3, 5), (3, 4, 6)),
+        (Generators, (0, 2, 1), (1, 2, 1), (0, 2, 2)),
+        (NormalForm, (1, 2, 3, 1), (5, 2, 3, 1), (1, 2, 4, 1)),
+        (Factorization, (((2, 1),),), (((3, 2),),), (((4, 1),),)),
+        # No claim record is valid (that is the theorem): only bad is tried.
+        (ClaimIData, None, None, (1, 0, 1, 1, 0)),
+        (ClaimIIData, None, None, (1, 2, 3, 4)),
+    ],
+)
+def test_checked_records_make_and_replace_check_like_the_constructor(cls, good, other, bad):
+    """_make, and so _replace, build each checked record through __new__:
+    a replaced field that breaks a record raises, and a valid one is kept."""
+    with pytest.raises(DomainError):
+        cls._make(bad)
+    if good is not None:
+        record = cls(*good)
+        with pytest.raises(DomainError):
+            record._replace(**{k: b for k, g, b in zip(cls._fields, good, bad) if g != b})
+        assert record._replace(**dict(zip(cls._fields, other))) == cls(*other)
 
 
 def test_no_claim_i_data_exists_up_to_e_200():
