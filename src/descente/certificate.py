@@ -10,9 +10,8 @@ to those pairs (e^2, f^2) with e^4 + f^4 <= N alone: about N^(1/4)/5.8
 pairs instead of about N/2pi.
 
 This module imports nothing from the package but the package module's
-errors and exit codes, and the JSONL writer for `--format jsonl`, so that
-`descente search` loads nothing else.
-It also holds that command's body, cmd_search, which writes its records.
+errors and exit codes, so that `descente search` loads nothing else.
+It also holds that command's body, cmd_search, which returns its rows.
 """
 
 from __future__ import annotations
@@ -174,23 +173,17 @@ def search(
 # the search command
 
 
-def cmd_search(bound: int, fmt: str, cache_path: str | None, out) -> int:
+def cmd_search(bound: int, cache_path: str | None) -> tuple:
     start = time.monotonic()
     try:
         found = search(bound, cache_path)
     except OSError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_IO, ()
     elapsed = round(time.monotonic() - start, 3)
-    if fmt == "jsonl":
-        from .jsonl import dumps
-
-        for x0, x1, x2, x3 in found:
-            print(dumps({"record": "solution", "x0": x0, "x1": x1, "x2": x2, "x3": x3}), file=out)
-        footer = {"record": "footer", "bound": bound, "count": len(found), "elapsed": elapsed}
-        print(dumps(footer), file=out)
-    else:
-        for x0, x1, x2, x3 in found:
-            print(f"counterexample: ({x0}, {x1}, {x2}, {x3})", file=out)
-        print(f"bound {bound}: {len(found)} counterexample(s) in {elapsed}s", file=out)
-    return EXIT_COUNTEREXAMPLE if found else EXIT_OK
+    rows = [(f"counterexample: ({x0}, {x1}, {x2}, {x3})",
+             {"record": "solution", "x0": x0, "x1": x1, "x2": x2, "x3": x3})
+            for x0, x1, x2, x3 in found]
+    rows.append((f"bound {bound}: {len(found)} counterexample(s) in {elapsed}s",
+                 {"record": "footer", "bound": bound, "count": len(found), "elapsed": elapsed}))
+    return EXIT_COUNTEREXAMPLE if found else EXIT_OK, rows

@@ -8,9 +8,10 @@ that module when the command runs, so a command compiles no other command's
 code.  No package module imports this one: under `python -m descente.cli`
 it runs as __main__, and an import would compile it a second time.
 
-The exit codes live in the package module, descente.  JSON-lines output
-is UTF-8, one flat object per line, keys in fixed order, written by
-descente.jsonl.
+A body returns its exit code and rows, each a text line and its JSONL
+record; main alone reads --format and writes one of the two per row.  The
+exit codes live in the package module, descente.  JSON-lines output is one
+flat UTF-8 object per line, keys in fixed order, written by descente.jsonl.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ REQUIRED = object()
 FORMAT = {"--format": (("text", "jsonl"), "text", "text or jsonl (default: text)")}
 
 # Each command: the module whose cmd_<command> runs it, which takes its
-# positionals and then its options in this order, and then out; its help
-# line; its positionals as (name, type or choices), where list takes every
-# remaining value as an int; and its options as name: (type or choices,
-# default, help line), where bool makes a flag.
+# positionals and then its options other than --format, in this order, and
+# returns (exit code, rows); its help line; its positionals as (name, type
+# or choices), where list takes every remaining value as an int; and its
+# options as name: (type or choices, default, help line), where bool makes
+# a flag.
 COMMANDS = {
     "triples": ("diophantine", "enumerate Pythagorean triples", [("max_x2", int)],
                 {"--primitive-only": (bool, False, "primitive triples only"), **FORMAT}),
@@ -85,9 +87,9 @@ def _convert(name: str, kind, value: str):
         raise UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
 
 
-def parse(argv: list[str]) -> list | None:
-    """The arguments of argv's command in COMMANDS order, or None if argv
-    asks for help.  An option's value follows it as `--opt value` or
+def parse(argv: list[str]) -> dict | None:
+    """The arguments of argv's command by name, in COMMANDS order, or None
+    if argv asks for help.  An option's value follows it as `--opt value` or
     `--opt=value`; an unknown option makes it and all after it unrecognized."""
     if not argv:
         raise UsageError("the following arguments are required: command")
@@ -120,7 +122,7 @@ def parse(argv: list[str]) -> list | None:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     if values or unknown:
         raise UsageError(f"unrecognized arguments: {' '.join(values + unknown)}")
-    return list(args.values())
+    return args
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -134,8 +136,18 @@ def main(argv: list[str] | None = None, out=None) -> int:
             return EXIT_OK
         from importlib import import_module
 
+        fmt = args.pop("--format", "text")
         module = import_module(f"descente.{COMMANDS[command][0]}")
-        return getattr(module, f"cmd_{command}")(*args, out)
+        code, rows = getattr(module, f"cmd_{command}")(*args.values())
+        if fmt == "jsonl":
+            from .jsonl import dumps
+
+            for _, record in rows:
+                print(dumps(record), file=out)
+        else:
+            for text, _ in rows:
+                print(text, file=out)
+        return code
     except (UsageError, DomainError) as exc:
         print(usage(command), f"descente: error: {exc}", sep="\n", file=sys.stderr)
         return EXIT_USAGE

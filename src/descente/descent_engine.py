@@ -140,8 +140,10 @@ class IndexedDescentFamily(
 # reports and traces
 
 
-# Failure and TraceEntry keep their fields in the order that their JSONL
-# records list them, so that the renderers spread _asdict().
+# A report's or trace's rows() yields its output, each row a text line and
+# its JSONL record; cli.main writes one of the two.  Failure and TraceEntry
+# keep their fields in the order that their records list them, so that
+# rows() spreads _asdict().
 Failure = namedtuple("Failure", "value index kind detail")
 
 
@@ -152,36 +154,16 @@ class Report(namedtuple("Report", "schema instance bound failures")):
     def ok(self) -> bool:
         return not self.failures
 
-    def to_jsonl(self) -> list[str]:
-        from .jsonl import dumps
-
+    def rows(self) -> Iterator[tuple[str, dict]]:
         head = {"record": "failure", "schema": self.schema, "instance": self.instance}
-        lines = [dumps({**head, **f._asdict()}) for f in self.failures]
-        lines.append(
-            dumps(
-                {
-                    "record": "report",
-                    "schema": self.schema,
-                    "instance": self.instance,
-                    "bound": self.bound,
-                    "failures": len(self.failures),
-                    "ok": self.ok,
-                }
-            )
-        )
-        return lines
-
-    def to_text(self) -> list[str]:
-        lines = [
-            f"{f.value:>12}  {'' if f.index is None else f'P_{f.index}':<4}  "
-            f"{f.kind:<24}  {f.detail}"
-            for f in self.failures
-        ]
+        for f in self.failures:
+            index = "" if f.index is None else f"P_{f.index}"
+            yield f"{f.value:>12}  {index:<4}  {f.kind:<24}  {f.detail}", {**head, **f._asdict()}
         verdict = "ok" if self.ok else f"{len(self.failures)} failure(s)"
-        lines.append(
-            f"{self.schema} check of '{self.instance}' up to {self.bound}: {verdict}"
-        )
-        return lines
+        # "record" keeps its first place in the dict when head's value is replaced.
+        yield (f"{self.schema} check of '{self.instance}' up to {self.bound}: {verdict}",
+               {**head, "record": "report", "bound": self.bound,
+                "failures": len(self.failures), "ok": self.ok})
 
 
 TraceEntry = namedtuple("TraceEntry", "value weight label")
@@ -218,33 +200,14 @@ class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
             raise DomainError("trace weights must strictly decrease")
         return tuple.__new__(cls, (instance, entries, outcome))
 
-    def to_jsonl(self) -> list[str]:
-        from .jsonl import dumps
-
-        lines = [
-            dumps({"record": "trace-entry", "instance": self.instance, **e._asdict()})
-            for e in self.entries
-        ]
-        lines.append(
-            dumps(
-                {
-                    "record": "trace",
-                    "instance": self.instance,
-                    "outcome": self.outcome,
-                    "entries": len(self.entries),
-                }
-            )
-        )
-        return lines
-
-    def to_text(self) -> list[str]:
-        width = max((len(str(e.weight)) for e in self.entries), default=1)
-        lines = [
-            f"  weight {e.weight:>{width}}  {e.label}"
-            for e in self.entries
-        ]
-        lines.append(f"outcome: {self.outcome}")
-        return lines
+    def rows(self) -> Iterator[tuple[str, dict]]:
+        weights = [str(e.weight) for e in self.entries]  # one decimal conversion each
+        width = max(map(len, weights), default=1)
+        head = {"record": "trace-entry", "instance": self.instance}
+        for e, weight in zip(self.entries, weights):
+            yield f"  weight {weight:>{width}}  {e.label}", {**head, **e._asdict()}
+        yield (f"outcome: {self.outcome}",
+               {**head, "record": "trace", "outcome": self.outcome, "entries": len(self.entries)})
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +373,24 @@ def pentagon_step(m: int, n: int) -> tuple[int, int]:
     return m - n, 2 * n - m
 
 
+def _pair_memo() -> tuple[Callable[[int], tuple[int, int]], Callable[[int, int], int]]:
+    """pair_decode and pair_encode with a closure-local memo of the last code:
+    a walk that reads each value's pair several times decodes only its start.
+    A code the memo does not hold is decoded afresh, so the instance is pure."""
+    last = [None, None]
+
+    def decode(v: int) -> tuple[int, int]:
+        if last[0] != v:
+            last[:] = v, pair_decode(v)
+        return last[1]
+
+    def encode(a: int, b: int) -> int:
+        last[:] = pair_encode(a, b), (a, b)
+        return last[0]
+
+    return decode, encode
+
+
 def pentagon_instance() -> DescentInstance:
     """Golden-ratio descent over Cantor-encoded (m, n) proportions.
 
@@ -418,24 +399,19 @@ def pentagon_instance() -> DescentInstance:
     trace ends step-undefined once the side is no longer less than the
     diagonal.
     """
+    decode, encode = _pair_memo()
 
     def predicate(v: int) -> bool:
-        m, n = pair_decode(v)
+        m, n = decode(v)
         return not 1 <= n <= m
 
     def step(v: int) -> int | None:
         try:
-            return pair_encode(*pentagon_step(*pair_decode(v)))
+            return encode(*pentagon_step(*decode(v)))
         except DomainError:  # outside the window: run_descent would re-raise it
             return None
 
-    def weight(v: int) -> int:
-        return pair_decode(v)[0]
-
-    def describe(v: int) -> str:
-        m, n = pair_decode(v)
-        return f"proportion {m}:{n}"
-
+    weight, describe = lambda v: decode(v)[0], lambda v: "proportion {}:{}".format(*decode(v))
     return DescentInstance("pentagon", predicate, weight, step, describe)
 
 
@@ -512,18 +488,19 @@ def gcd_instance() -> ReductionDescentInstance:
     weight is the second component, which one remainder step strictly
     decreases.
     """
+    decode, encode = _pair_memo()
 
     def step(v: int) -> int:
-        a, b = pair_decode(v)
-        return pair_encode(b, a % b)
+        a, b = decode(v)
+        return encode(b, a % b)
 
     return ReductionDescentInstance(
         "gcd",
-        base=lambda v: pair_decode(v)[1] == 0,
+        base=lambda v: decode(v)[1] == 0,
         predicate=_euclid_terminates,
-        weight=lambda v: pair_decode(v)[1],
+        weight=lambda v: decode(v)[1],
         step=step,
-        describe=lambda v: "pair ({}, {})".format(*pair_decode(v)),
+        describe=lambda v: "pair ({}, {})".format(*decode(v)),
     )
 
 
@@ -589,7 +566,7 @@ INSTANCES = {
 START_LIMIT = 10**2000
 
 
-def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
+def cmd_descent(name: str, values: list[int]) -> tuple:
     if any(v < 0 for v in values):
         raise UsageError("start values must be naturals")
     if any(v >= START_LIMIT for v in values):
@@ -604,39 +581,22 @@ def cmd_descent(name: str, values: list[int], fmt: str, out) -> int:
         trace = run_descent(inst, start, max_steps=10_000)
     except DomainError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return EXIT_PRECONDITION, ()
     # A fermat or walsh descent starts only from a counterexample, which the
     # theorem rules out; it is wired anyway so a falsifying input descends.
     # Any other start ends its trace at once, where the predicate holds.
     if name in ("fermat", "walsh") and (
         trace.outcome == "predicate-holds" and len(trace.entries) == 1
     ):
-        x0, x1, x2, x3 = values
-        if fmt == "jsonl":
-            from .jsonl import dumps
-
-            rec = dict(record="guard-rejection", instance=name, x0=x0, x1=x1, x2=x2, x3=x3)
-            print(dumps(rec), file=out)
-            return EXIT_OK
-        print(
-            f"guard rejection: ({x0}, {x1}, {x2}, {x3}) is not a "
-            "counterexample (needs positive legs, x0^2 + x1^2 = x2^2 and "
-            "x0*x1 = 2*x3^2)",
-            file=out,
-        )
-        print(
-            "no descent to run; see `check id fermat N` and "
-            "`search --bound N` for the vacuity certificates",
-            file=out,
-        )
-        return EXIT_OK
-    lines = trace.to_jsonl() if fmt == "jsonl" else trace.to_text()
-    for line in lines:
-        print(line, file=out)
-    return EXIT_OK
+        text = (f"guard rejection: ({', '.join(map(str, values))}) is not a counterexample (needs "
+                "positive legs, x0^2 + x1^2 = x2^2 and x0*x1 = 2*x3^2)\nno descent to run; see "
+                "`check id fermat N` and `search --bound N` for the vacuity certificates")
+        coords = dict(zip(("x0", "x1", "x2", "x3"), values))
+        return EXIT_OK, [(text, {"record": "guard-rejection", "instance": name, **coords})]
+    return EXIT_OK, trace.rows()
 
 
-def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
+def cmd_check(schema: str, name: str, bound: int) -> tuple:
     if bound < 1:
         raise UsageError("bound must be >= 1")
     check = INSTANCES[name][2].get(schema) if name in INSTANCES else None
@@ -646,7 +606,4 @@ def cmd_check(schema: str, name: str, bound: int, fmt: str, out) -> int:
     if bound > limit:
         raise UsageError(f"bound must be <= {limit}")
     report = factory(bound)
-    lines = report.to_jsonl() if fmt == "jsonl" else report.to_text()
-    for line in lines:
-        print(line, file=out)
-    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE, report.rows()

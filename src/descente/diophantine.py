@@ -14,9 +14,11 @@ from .core_arith import check_natural, common_prime_witness, coprime
 from . import EXIT_OK, EXIT_PRECONDITION, DomainError, UsageError
 
 # The largest max_x2 triples accepts.  Its rows grow as max_x2 log max_x2:
-# 10^5 prints 161,436 rows in 2-3 s as a subprocess, the first after about
-# 0.15 s, with a peak RSS of 26 MB (Python 3.11, 2 CPUs), mostly the merge's
-# one pending multiple for each of the 15,919 primitive triples.
+# 10^5 prints 161,436 rows as a subprocess with PYTHONUNBUFFERED=1 in about
+# 0.6 s in text and 1.3-1.4 s in JSONL (0.45 s and 1.25 s buffered), the
+# first after about 0.05 s, with a peak RSS of 18 MB against 14 MB for
+# `triples 5` (Python 3.11.7, 2 CPUs): the heap holds the next multiple of
+# each of the 15,919 primitive triples.
 MAX_X2 = 10**5
 
 # proportions is imported inside the three functions that split squares, so
@@ -147,11 +149,12 @@ def decompose_primitive_two_square(x0: int, x1: int, x2: int) -> tuple[int, int]
 # the triples and decompose commands
 
 
-def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
+def cmd_triples(max_x2: int, primitive_only: bool) -> tuple:
     """Each triple with x2 <= max_x2 as a multiple of its primitive triple,
-    in (x2, smaller leg) order: the multiples of each primitive triple are
-    already in that order, so a heap merges them as they are printed."""
-    from heapq import merge
+    in (x2, smaller leg) order.  The multiples of each primitive triple are
+    already in that order, so a heap of the next multiple of each merges
+    them as they are printed."""
+    from heapq import heapify, heappop, heapreplace
 
     from .certificate import primitive_triples
 
@@ -159,27 +162,32 @@ def cmd_triples(max_x2: int, primitive_only: bool, fmt: str, out) -> int:
         raise UsageError("max_x2 must be >= 1")
     if max_x2 > MAX_X2:
         raise UsageError(f"max_x2 must be <= {MAX_X2}")
-    if fmt == "jsonl":
-        from .jsonl import dumps
 
-    def multiples(x0: int, x1: int, x2: int, p: int, q: int):
-        for d in range(1, 2 if primitive_only else max_x2 // x2 + 1):
-            yield d * x2, d * x0, d * x1, p, q, d
-
-    for x2, x0, x1, p, q, d in merge(*(multiples(*t) for t in primitive_triples(max_x2))):
-        if fmt == "jsonl":
-            rec = dict(record="triple", x0=x0, x1=x1, x2=x2, p=p, q=q, factor=d, primitive=d == 1)
-            print(dumps(rec), file=out)
-        else:
+    def rows():
+        # [x2, x0, x1, factor, then the primitive triple's x0, x1, x2, p, q].
+        # x2 and x0 fix the triple, so the heap compares nothing after them.
+        heap = [[c, a, b, 1, a, b, c, p, q] for a, b, c, p, q in primitive_triples(max_x2)]
+        heapify(heap)
+        while heap:
+            x2, x0, x1, d, a, b, c, p, q = top = heap[0]
             tail = "" if d == 1 else f"  non-primitive, factor {d}"
-            print(f"({x0}, {x1}, {x2})  p={p} q={q}{tail}", file=out)
-    return EXIT_OK
+            yield (f"({x0}, {x1}, {x2})  p={p} q={q}{tail}",
+                   {"record": "triple", "x0": x0, "x1": x1, "x2": x2, "p": p, "q": q,
+                    "factor": d, "primitive": d == 1})
+            if primitive_only or x2 + c > max_x2:
+                heappop(heap)
+            else:
+                top[:4] = x2 + c, x0 + a, x1 + b, d + 1
+                heapreplace(heap, top)
+
+    return EXIT_OK, rows()
 
 
-def cmd_decompose(kind: str, values: list[int], out) -> int:
+def cmd_decompose(kind: str, values: list[int]) -> tuple:
     """The decomposition of kind of values.  The command line's parser has
     already checked the kind; the count of values is checked before their
-    signs, so `decompose triple -1 2` reports the count."""
+    signs, so `decompose triple -1 2` reports the count.  It has no JSONL
+    form, so its one row's record is None."""
     n = 4 if kind == "frenicle" else 3
     if len(values) != n:
         raise UsageError(f"decompose {kind} takes {n} values")
@@ -187,21 +195,16 @@ def cmd_decompose(kind: str, values: list[int], out) -> int:
         raise UsageError("values must be naturals")
     try:
         if kind == "triple":
-            t = PythTriple(values[0], values[1], values[2])
-            i, a, b = decompose_sum_of_squares(t)
-            line = f"i={i} a={a} b={b}"
-            z = common_prime_witness([t.x0, t.x1, t.x2]) if t.x2 else None
+            t = PythTriple(*values)
+            line = "i={} a={} b={}".format(*decompose_sum_of_squares(t))
+            z = common_prime_witness(values) if t.x2 else None
             if z is not None:
                 line += f"  (non-primitive, common factor {z})"
-            print(line, file=out)
         elif kind == "two-square":
-            m, k = decompose_primitive_two_square(values[0], values[1], values[2])
-            print(f"m={m} k={k}", file=out)
+            line = "m={} k={}".format(*decompose_primitive_two_square(*values))
         else:
-            t = PythTriple(values[0], values[1], values[2])
-            m, k = frenicle_xxxviii(t, values[3])
-            print(f"m={m} k={k}", file=out)
+            line = "m={} k={}".format(*frenicle_xxxviii(PythTriple(*values[:3]), values[3]))
     except DomainError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    return EXIT_OK
+        return EXIT_PRECONDITION, ()
+    return EXIT_OK, [(line, None)]

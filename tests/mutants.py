@@ -34,6 +34,21 @@ ENGINE = "src/descente/descent_engine.py"
 ARITH = "src/descente/core_arith.py"
 DIOPH = "src/descente/diophantine.py"
 
+# The two parts of Report.rows, the failure rows and then the verdict row.
+_FAILURE_ROWS = (
+    "        for f in self.failures:\n"
+    '            index = "" if f.index is None else f"P_{f.index}"\n'
+    '            yield f"{f.value:>12}  {index:<4}  {f.kind:<24}  {f.detail}", '
+    "{**head, **f._asdict()}\n"
+)
+_VERDICT_ROW = (
+    '        verdict = "ok" if self.ok else f"{len(self.failures)} failure(s)"\n'
+    "        # \"record\" keeps its first place in the dict when head's value is replaced.\n"
+    "        yield (f\"{self.schema} check of '{self.instance}' up to {self.bound}: {verdict}\",\n"
+    '               {**head, "record": "report", "bound": self.bound,\n'
+    '                "failures": len(self.failures), "ok": self.ok})\n'
+)
+
 MUTANTS = [
     Mutant(
         "search-bound", CERT,
@@ -278,6 +293,19 @@ MUTANTS = [
         "a trace's _replace takes an unknown outcome",
     ),
     Mutant(
+        "report-verdict-first", ENGINE,
+        _FAILURE_ROWS + _VERDICT_ROW, _VERDICT_ROW + _FAILURE_ROWS,
+        ("tests/test_descent.py",),
+        "a report's rows give the verdict before the failure rows",
+    ),
+    Mutant(
+        "memo-no-seed", ENGINE,
+        "        last[:] = pair_encode(a, b), (a, b)\n        return last[0]\n",
+        "        return pair_encode(a, b)\n",
+        ("tests/test_descent.py",),
+        "a gcd or pentagon walk decodes each step's output again",
+    ),
+    Mutant(
         "pentagon-window", ENGINE,
         "if not n < m < 2 * n:", "if not n < m <= 2 * n:",
         ("tests/test_descent.py",),
@@ -314,6 +342,12 @@ MUTANTS = [
         '"x0 x1 x2")):\n    __slots__ = ()\n',
         ("tests/test_fermat.py",),
         "a triple's _replace makes a non-triple unchecked",
+    ),
+    Mutant(
+        "triples-last-multiple", DIOPH,
+        "x2 + c > max_x2", "x2 + c >= max_x2",
+        ("tests/test_cli.py",),
+        "`triples` drops a multiple whose hypotenuse is max_x2",
     ),
     Mutant(
         "decompose-count", DIOPH,

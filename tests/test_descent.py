@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from descente import DomainError
+from descente import DomainError, descent_engine
 from descente.descent_engine import (
     DescentInstance,
     DescentTrace,
@@ -33,6 +33,7 @@ from descente.descent_engine import (
     vii31_instance,
     vii31_rd_instance,
 )
+from descente.jsonl import dumps
 
 from . import oracles
 
@@ -710,6 +711,43 @@ def test_run_descent_gcd():
     assert trace.outcome == "predicate-holds"
 
 
+def _fibonacci_pair_above(n: int) -> tuple[int, int]:
+    f, g = 0, 1
+    while g <= n:
+        f, g = g, f + g
+    return f, g
+
+
+@pytest.mark.parametrize(
+    "make, smaller_first, outcome",
+    [(gcd_instance, True, "predicate-holds"), (pentagon_instance, False, "step-undefined")],
+)
+def test_a_pair_walk_decodes_only_its_start(monkeypatch, make, smaller_first, outcome):
+    # The base or predicate, weight, step and describe of a walk each read
+    # the value's pair, and a step encodes its output from its pair.
+    f, g = _fibonacci_pair_above(10**400)
+    start = pair_encode(f, g) if smaller_first else pair_encode(g, f)
+    calls = []
+    monkeypatch.setattr(descent_engine, "pair_decode", lambda v: calls.append(v) or pair_decode(v))
+    trace = run_descent(make(), start, 10_000)
+    assert (trace.outcome, len(trace.entries) > 900) == (outcome, True)
+    assert calls == [start]
+    # The memo is invisible: a fresh instance reads each entry alike.
+    fresh = make()
+    for e in reversed(trace.entries):
+        assert (e.weight, e.label) == (fresh.weight(e.value), fresh.describe(e.value))
+
+
+def jsonl(rows) -> list[str]:
+    """The JSONL lines of rows: dumps of each row's record."""
+    return [dumps(record) for _, record in rows]
+
+
+def text(rows) -> list[str]:
+    """The text lines of rows."""
+    return [line for line, _ in rows]
+
+
 def trace_entry_records(instance: str, walk: list[tuple[int, str]]) -> list[dict]:
     """The JSONL records of the entries of a walk whose weight is its value."""
     return [
@@ -724,11 +762,11 @@ def test_run_descent_ends_weight_not_decreased_as_data():
     trace = run_descent(inst, 5, 10)
     assert trace.outcome == "weight-not-decreased"
     assert [e.weight for e in trace.entries] == [5, 3, 4]
-    assert [json.loads(line) for line in trace.to_jsonl()] == [
+    assert [json.loads(line) for line in jsonl(trace.rows())] == [
         *trace_entry_records("up", [(5, "5"), (3, "3"), (4, "4")]),
         {"record": "trace", "instance": "up", "outcome": "weight-not-decreased", "entries": 3},
     ]
-    assert trace.to_text()[-1] == "outcome: weight-not-decreased"
+    assert text(trace.rows())[-1] == "outcome: weight-not-decreased"
     flat = DescentInstance("flat", lambda v: False, lambda v: 7, lambda v: v + 1)
     assert [e.value for e in run_descent(flat, 1, 10).entries] == [1, 2]
 
@@ -737,7 +775,7 @@ def test_run_descent_ends_step_error_as_data():
     inst = DescentInstance("div", lambda v: v == 1, lambda v: v, lambda v: 12 // (v - 4))
     trace = run_descent(inst, 4, 10)
     assert (trace.outcome, len(trace.entries)) == ("step-error", 1)
-    assert [json.loads(line) for line in trace.to_jsonl()] == [
+    assert [json.loads(line) for line in jsonl(trace.rows())] == [
         *trace_entry_records("div", [(4, "4")]),
         {"record": "trace", "instance": "div", "outcome": "step-error", "entries": 1},
     ]
@@ -822,7 +860,7 @@ DEMO_REPORT = Report(
 
 
 def test_report_jsonl_round_trip():
-    lines = DEMO_REPORT.to_jsonl()
+    lines = jsonl(DEMO_REPORT.rows())
     assert all(isinstance(json.loads(line), dict) for line in lines)
     assert [json.dumps(json.loads(line)) for line in lines] == lines
     assert [json.loads(line) for line in lines] == [
@@ -844,9 +882,9 @@ def test_report_jsonl_round_trip():
 
 def test_report_text_rendering():
     report = check_id(vii31_instance(), 10)
-    text = report.to_text()
-    assert text[-1] == "id check of 'vii31' up to 10: ok"
-    assert DEMO_REPORT.to_text() == [
+    lines = text(report.rows())
+    assert lines[-1] == "id check of 'vii31' up to 10: ok"
+    assert text(DEMO_REPORT.rows()) == [
         "           5        weight-not-decreased      weight 5 -> 7",
         "           6  P_1   step-undefined            x",
         "id check of 'demo' up to 42: 2 failure(s)",
@@ -855,7 +893,7 @@ def test_report_text_rendering():
 
 def test_trace_jsonl_round_trip():
     trace = run_descent(vii31_walk(), 360, 100)
-    lines = trace.to_jsonl()
+    lines = jsonl(trace.rows())
     assert [json.dumps(json.loads(line)) for line in lines] == lines
     walk = [(360, "360"), (72, "72"), (24, "24"), (8, "8"), (4, "4"), (2, "2 (prime)")]
     assert [json.loads(line) for line in lines] == [
