@@ -3,8 +3,8 @@ a bounded verifier for descent schemas, built around one theorem: no
 Pythagorean triangle with positive integer sides has its leg product equal to
 twice a square (equivalently, square area).
 
-This module holds the shared exception types and the command-line exit
-codes, which are stable and documented:
+This module holds the shared exception types, the base of the checked
+records, and the command-line exit codes, which are stable and documented:
   0   success (and, for `search`, theorem upheld: nothing found)
   1   I/O error: an unwritable cache path, or a failed write of the output
       (`write error: ...` on stderr, whether stdout is buffered or not)
@@ -29,3 +29,11 @@ class DomainError(ValueError):
 
 class UsageError(Exception):
     """A malformed command line; main prints the command's usage before it."""
+
+
+class CheckedRecord:
+    """Base of the namedtuple records whose __new__ checks their fields: its
+    _make, and so _replace, builds through __new__ and checks them too."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))

@@ -24,8 +24,9 @@ import time
 from . import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, DomainError
 
 # The largest bound search accepts.  Its work grows as sqrt(sqrt(bound)):
-# 10^28 tests 1,725,872 pairs in about 5 s as a subprocess, with a peak RSS
-# of 15 MB (Python 3.11, 2 CPUs), and 10^32 would take over 10 times as long.
+# 10^28 tests 1,725,872 pairs in about 2.7 s as a subprocess (2.4-3.0 s over
+# 5 spawns without a bytecode cache), with a peak RSS of 14 MB (Python 3.11,
+# 2 CPUs), and 10^32 would take over 10 times as long.
 MAX_BOUND = 10**28
 
 

@@ -2,6 +2,8 @@
 
 Naturals are plain Python ints restricted to values >= 0; every operation
 validates its arguments and raises DomainError outside its precondition.
+The three guards state the shared preconditions once each: check_natural,
+check_prime (a prime p) and check_coprime (a coprime pair a, b).
 Divisibility follows the classical convention: 1 is the minimum and 0 the
 maximum of the divides ordering, so divides(x, 0) is always true.
 """
@@ -12,13 +14,23 @@ import itertools
 import math
 from collections import namedtuple
 
-from . import DomainError
+from . import CheckedRecord, DomainError
 
 
 def check_natural(*values: int) -> None:
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise DomainError(f"expected a natural number, got {v!r}")
+
+
+def check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+
+
+def check_coprime(a: int, b: int) -> None:
+    if not coprime([a, b]):
+        raise DomainError(f"{a} and {b} are not coprime")
 
 
 def divides(x: int, y: int) -> bool:
@@ -156,11 +168,10 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
-class Factorization(namedtuple("Factorization", "factors")):
+class Factorization(CheckedRecord, namedtuple("Factorization", "factors")):
     """Canonical prime factorization: (prime, exponent) pairs, primes increasing."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, factors: tuple[tuple[int, int], ...]):
         primes = [p for p, _ in factors]
@@ -169,8 +180,7 @@ class Factorization(namedtuple("Factorization", "factors")):
         for p, e in factors:
             if e < 1:
                 raise DomainError(f"exponent of {p} must be positive")
-            if not is_prime(p):
-                raise DomainError(f"{p} is not prime")
+            check_prime(p)
         return tuple.__new__(cls, (factors,))
 
 
@@ -187,8 +197,7 @@ def factorize(x: int) -> Factorization:
 def valuation(p: int, x: int) -> int:
     """Largest n with p^n dividing x."""
     check_natural(p, x)
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    check_prime(p)
     if x == 0:
         raise DomainError("valuation undefined at 0")
     n = 0
@@ -204,8 +213,7 @@ def split_valuation(p: int, m: int, x0: int, x1: int) -> tuple[int, int]:
     Canonical choice puts as much as possible on x0: n0 = min(m, valuation(p, x0)).
     """
     check_natural(p, m, x0, x1)
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    check_prime(p)
     if x0 * x1 == 0:
         raise DomainError("split_valuation requires x0*x1 >= 1")
     if not divides(p**m, x0 * x1):
@@ -241,8 +249,7 @@ def euclid_lemma_side(p: int, x1: int, x2: int) -> int:
     Canonical tie-break: 1 whenever p | x1.
     """
     check_natural(p, x1, x2)
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    check_prime(p)
     if not divides(p, x1 * x2):
         raise DomainError(f"{p} does not divide {x1}*{x2}")
     return 1 if divides(p, x1) else 2

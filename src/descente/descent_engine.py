@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from itertools import count
 
-from . import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_PRECONDITION, DomainError, UsageError
+from . import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_PRECONDITION, CheckedRecord, DomainError, UsageError
 
 Predicate = Callable[[int], bool]
 Weight = Callable[[int], int]
@@ -108,7 +108,7 @@ class ReductionDescentInstance(
 
 
 class IndexedDescentFamily(
-    namedtuple("IndexedDescentFamily", "name predicates weight steps describe")
+    CheckedRecord, namedtuple("IndexedDescentFamily", "name predicates weight steps describe")
 ):
     """Varying-predicate descent: a counterexample of P_i steps to a smaller
     counterexample of P_{i+1}.
@@ -119,7 +119,6 @@ class IndexedDescentFamily(
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(
         cls,
@@ -177,7 +176,7 @@ OUTCOMES = (
 )
 
 
-class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
+class DescentTrace(CheckedRecord, namedtuple("DescentTrace", "instance entries outcome")):
     """The values a descent visited, with their weights, and why it ended.
 
     The weights strictly decrease, except that a weight-not-decreased trace
@@ -185,7 +184,6 @@ class DescentTrace(namedtuple("DescentTrace", "instance entries outcome")):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, instance: str, entries: tuple[TraceEntry, ...], outcome: str):
         if outcome not in OUTCOMES:
@@ -523,11 +521,12 @@ def _fermat():
 # sees each check.
 #
 # Each check's limit keeps it to a few seconds as a subprocess (Python 3.11,
-# 2 CPUs): 2*10**7 for vii31 takes about 1.1 s, and 3,000 for the gcd side
-# 1.2-1.5 s.  The fermat check grows as the square root of the bound:
-# 10**11 takes 1.2-2.1 s, and 10**12 about 7-8 s.  The walsh check visits
-# only the triple codes of its two fibers, 301 each at 10**11, and takes
-# about 0.07 s there, mostly start-up; it keeps the fermat check's limit.
+# 2 CPUs, 5 spawns without a bytecode cache): 2*10**7 for vii31 takes
+# 0.77-0.81 s, and 3,000 for the gcd side 0.71-0.73 s.  The fermat check
+# grows as the square root of the bound: 10**11 takes 0.82-0.86 s, and
+# 10**12 about 3 s.  The walsh check visits only the triple codes of its two
+# fibers, 301 each at 10**11, and takes 0.04-0.05 s there, mostly start-up;
+# it keeps the fermat check's limit.
 INSTANCES = {
     "pentagon": (2, lambda v: (pentagon_instance(), pair_encode(*v)), {}),
     "vii31": (

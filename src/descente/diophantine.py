@@ -10,8 +10,8 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 
-from .core_arith import check_natural, common_prime_witness, coprime
-from . import EXIT_OK, EXIT_PRECONDITION, DomainError, UsageError
+from .core_arith import check_coprime, check_natural, common_prime_witness, coprime
+from . import EXIT_OK, EXIT_PRECONDITION, CheckedRecord, DomainError, UsageError
 
 # The largest max_x2 triples accepts.  Its rows grow as max_x2 log max_x2:
 # 10^5 prints 161,436 rows as a subprocess with PYTHONUNBUFFERED=1 in about
@@ -27,9 +27,8 @@ MAX_X2 = 10**5
 # load it.
 
 
-class PythTriple(namedtuple("PythTriple", "x0 x1 x2")):
+class PythTriple(CheckedRecord, namedtuple("PythTriple", "x0 x1 x2")):
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, x0: int, x1: int, x2: int):
         check_natural(x0, x1, x2)
@@ -41,18 +40,16 @@ class PythTriple(namedtuple("PythTriple", "x0 x1 x2")):
         return coprime([self.x0, self.x1, self.x2])
 
 
-class Generators(namedtuple("Generators", "i p q")):
+class Generators(CheckedRecord, namedtuple("Generators", "i p q")):
     """Coprime opposite-parity pair (p, q) with p > q; i marks the even leg."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, i: int, p: int, q: int):
         check_natural(p, q)
         if i not in (0, 1):
             raise DomainError("leg index must be 0 or 1")
-        if not coprime([p, q]):
-            raise DomainError(f"{p} and {q} are not coprime")
+        check_coprime(p, q)
         if (p + q) % 2 == 0:
             raise DomainError("exactly one of p, q must be odd")
         if not p > q:

@@ -24,7 +24,7 @@ from .descent_engine import (
     quad_encode,
     tagged,
 )
-from . import DomainError
+from . import CheckedRecord, DomainError
 
 # core_arith, diophantine and proportions are imported inside the functions
 # that use them: the predicates that the checks evaluate need none of them,
@@ -39,22 +39,16 @@ class CandidateSolution(namedtuple("CandidateSolution", "x0 x1 x2 x3")):
     __slots__ = ()
 
 
-class ClaimIData(namedtuple("ClaimIData", "p q c e f")):
+class ClaimIData(CheckedRecord, namedtuple("ClaimIData", "p q c e f")):
     """First waypoint of the descent: the generators are squares and their
     squares differ by a square."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, p: int, q: int, c: int, e: int, f: int):
-        from .core_arith import coprime
+        from .diophantine import Generators
 
-        if not coprime([p, q]):
-            raise DomainError("p and q must be coprime")
-        if (p + q) % 2 == 0:
-            raise DomainError("exactly one of p, q must be odd")
-        if not p > q:
-            raise DomainError("need p > q")
+        Generators(0, p, q)  # coprime, of opposite parity, and p > q
         if p != e**2 or q != f**2:
             raise DomainError("p and q must be the squares of e and f")
         if p**2 - q**2 != c**2:
@@ -64,11 +58,10 @@ class ClaimIData(namedtuple("ClaimIData", "p q c e f")):
         return tuple.__new__(cls, (p, q, c, e, f))
 
 
-class ClaimIIData(namedtuple("ClaimIIData", "e f g h")):
+class ClaimIIData(CheckedRecord, namedtuple("ClaimIIData", "e f g h")):
     """Two squares whose sum and difference are both squares."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, e: int, f: int, g: int, h: int):
         from .core_arith import coprime
@@ -112,11 +105,10 @@ def degenerate_solutions() -> frozenset[CandidateSolution]:
 def reduce_triple_by_prime(t: PythTriple, z: int) -> PythTriple:
     """Divide a triple through by a prime dividing both legs (it then divides
     the hypotenuse as well, since z^2 | x2^2 forces z | x2)."""
-    from .core_arith import is_prime
+    from .core_arith import check_prime
     from .diophantine import PythTriple
 
-    if not is_prime(z):
-        raise DomainError(f"{z} is not prime")
+    check_prime(z)
     if t.x0 % z or t.x1 % z:
         raise DomainError(f"{z} does not divide both legs")
     assert t.x2 % z == 0
@@ -125,10 +117,9 @@ def reduce_triple_by_prime(t: PythTriple, z: int) -> PythTriple:
 
 def reduce_area_witness(x3: int, z: int) -> int:
     """The matching reduction of the area witness in the first descent case."""
-    from .core_arith import is_prime
+    from .core_arith import check_prime
 
-    if not is_prime(z):
-        raise DomainError(f"{z} is not prime")
+    check_prime(z)
     if x3 % z:
         raise DomainError(f"{z} does not divide {x3}")
     return x3 // z

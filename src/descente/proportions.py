@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .core_arith import check_natural, coprime, is_prime
-from . import DomainError
+from .core_arith import check_coprime, check_natural, check_prime, coprime
+from . import CheckedRecord, DomainError
 
 
 def exact_sqrt(n: int) -> int | None:
@@ -48,11 +48,10 @@ class ContinuedProportion(tuple):
         return f"ContinuedProportion(terms={tuple(self)!r})"
 
 
-class NormalForm(namedtuple("NormalForm", "k y z n")):
+class NormalForm(CheckedRecord, namedtuple("NormalForm", "k y z n")):
     """Geometric normal form: terms[i] == k * y**(n+1-i) * z**i with y, z coprime."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, k: int, y: int, z: int, n: int):
         check_natural(k, y, z, n)
@@ -115,8 +114,7 @@ def split_coprime_square(a: int, b: int, x: int) -> tuple[int, int]:
     other is 1 and x is 0.
     """
     check_natural(a, b, x)
-    if not coprime([a, b]):
-        raise DomainError(f"{a} and {b} are not coprime")
+    check_coprime(a, b)
     if a * b != x * x:
         raise DomainError(f"{a}*{b} != {x}^2")
     y = exact_sqrt(a)
@@ -128,10 +126,8 @@ def split_coprime_square(a: int, b: int, x: int) -> tuple[int, int]:
 def coprime_side_with_prime(p: int, a: int, b: int) -> int:
     """Which side a prime can join while preserving coprimality: 1 for (p*a, b), else 2."""
     check_natural(p, a, b)
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if not coprime([a, b]):
-        raise DomainError(f"{a} and {b} are not coprime")
+    check_prime(p)
+    check_coprime(a, b)
     if coprime([p * a, b]):
         return 1
     assert coprime([a, p * b]), "neither side stayed coprime"
@@ -144,10 +140,8 @@ def split_coprime_double_square(p: int, a: int, b: int, v: int) -> tuple[int, in
     Returns (m, k) with p*m and k coprime.
     """
     check_natural(p, a, b, v)
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if not coprime([a, b]):
-        raise DomainError(f"{a} and {b} are not coprime")
+    check_prime(p)
+    check_coprime(a, b)
     if p * a * b != v * v:
         raise DomainError(f"{p}*{a}*{b} != {v}^2")
     # p*a*b is a square, so the prime p divides a*b: one of the coprime a, b.
@@ -162,8 +156,7 @@ def split_sum_diff_square(p: int, q: int, c: int) -> tuple[int, int]:
     p+q and p-q are themselves coprime.
     """
     check_natural(p, q, c)
-    if not coprime([p, q]):
-        raise DomainError(f"{p} and {q} are not coprime")
+    check_coprime(p, q)
     if (p + q) % 2 == 0:
         raise DomainError(f"{p} and {q} must have opposite parity")
     if not p > q >= 1:

@@ -33,6 +33,7 @@ FERMAT = "src/descente/fermat.py"
 ENGINE = "src/descente/descent_engine.py"
 ARITH = "src/descente/core_arith.py"
 DIOPH = "src/descente/diophantine.py"
+INIT = "src/descente/__init__.py"
 
 # The two parts of Report.rows, the failure rows and then the verdict row.
 _FAILURE_ROWS = (
@@ -277,22 +278,6 @@ MUTANTS = [
         equivalent=True,
     ),
     Mutant(
-        "make-unchecked", ENGINE,
-        "    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too\n"
-        "\n    def __new__(\n        cls,\n",
-        "\n    def __new__(\n        cls,\n",
-        ("tests/test_descent.py",),
-        "a family's _replace drops a step unchecked",
-    ),
-    Mutant(
-        "trace-make-unchecked", ENGINE,
-        "    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too\n"
-        "\n    def __new__(cls, instance",
-        "\n    def __new__(cls, instance",
-        ("tests/test_descent.py",),
-        "a trace's _replace takes an unknown outcome",
-    ),
-    Mutant(
         "report-verdict-first", ENGINE,
         _FAILURE_ROWS + _VERDICT_ROW, _VERDICT_ROW + _FAILURE_ROWS,
         ("tests/test_descent.py",),
@@ -336,14 +321,6 @@ MUTANTS = [
         "the start 10**2000 is walked",
     ),
     Mutant(
-        "triple-make-unchecked", DIOPH,
-        '"x0 x1 x2")):\n    __slots__ = ()\n'
-        "    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too\n",
-        '"x0 x1 x2")):\n    __slots__ = ()\n',
-        ("tests/test_fermat.py",),
-        "a triple's _replace makes a non-triple unchecked",
-    ),
-    Mutant(
         "triples-last-multiple", DIOPH,
         "x2 + c > max_x2", "x2 + c >= max_x2",
         ("tests/test_cli.py",),
@@ -354,6 +331,26 @@ MUTANTS = [
         "if len(values) != n:", "if len(values) < n:",
         ("tests/test_cli.py",),
         "`decompose` with too many values decomposes the first ones",
+    ),
+    Mutant(
+        "record-make-unchecked", INIT,
+        "lambda cls, values: cls(*values)", "lambda cls, values: tuple.__new__(cls, values)",
+        ("tests/test_fermat.py",),
+        "every checked record's _make, and so _replace, skips its checks",
+    ),
+    Mutant(
+        "check-prime-accepts", ARITH,
+        '    if not is_prime(p):\n        raise DomainError(f"{p} is not prime")\n',
+        "    return\n",
+        ("tests/test_core_arith.py",),
+        "every prime guard passes a composite",
+    ),
+    Mutant(
+        "check-coprime-accepts", ARITH,
+        '    if not coprime([a, b]):\n        raise DomainError(f"{a} and {b} are not coprime")\n',
+        "    return\n",
+        ("tests/test_core_arith.py",),
+        "every coprime guard passes a pair with a common factor",
     ),
     Mutant(
         "12-bases", ARITH,

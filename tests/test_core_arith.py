@@ -25,6 +25,14 @@ from descente.core_arith import (
     valuation,
 )
 from descente.descent_engine import vii31_rd_instance
+from descente.diophantine import Generators, PythTriple
+from descente.fermat import reduce_area_witness, reduce_triple_by_prime
+from descente.proportions import (
+    coprime_side_with_prime,
+    split_coprime_double_square,
+    split_coprime_square,
+    split_sum_diff_square,
+)
 
 from .oracles import brute_divisors, brute_is_prime, sieve_is_prime
 
@@ -418,3 +426,33 @@ def test_divides_via_valuations_agrees():
     for x in range(1, 501):
         for y in range(1, 501):
             assert divides_via_valuations(x, y) == divides(x, y)
+
+
+# ---------------------------------------------------------------------------
+# the prime and coprime guards, at every use
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (Factorization, (((4, 1),),), "4 is not prime"),
+        (valuation, (4, 8), "4 is not prime"),
+        (split_valuation, (4, 1, 2, 2), "4 is not prime"),
+        (euclid_lemma_side, (4, 2, 2), "4 is not prime"),
+        (coprime_side_with_prime, (4, 1, 1), "4 is not prime"),
+        (split_coprime_double_square, (4, 1, 1, 2), "4 is not prime"),
+        (reduce_triple_by_prime, (PythTriple(6, 8, 10), 4), "4 is not prime"),
+        (reduce_area_witness, (8, 4), "4 is not prime"),
+        (Generators, (0, 4, 2), "4 and 2 are not coprime"),
+        (split_coprime_square, (4, 6, 0), "4 and 6 are not coprime"),
+        (coprime_side_with_prime, (2, 4, 6), "4 and 6 are not coprime"),
+        (split_coprime_double_square, (2, 2, 4, 4), "2 and 4 are not coprime"),
+        (split_sum_diff_square, (6, 4, 2), "6 and 4 are not coprime"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_guard_messages(function, args, message):
+    """Each prime and coprime guard's exact message, on an input that passes
+    every check before it."""
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        function(*args)

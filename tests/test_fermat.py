@@ -2,8 +2,10 @@
 descent wiring, and the exhaustive searches with their oracle."""
 
 import bisect
+import importlib
 import math
 import os
+import pkgutil
 import re
 import tempfile
 
@@ -11,10 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from descente import DomainError, certificate, fermat
+import descente
+from descente import CheckedRecord, DomainError, certificate, fermat
 from descente.certificate import primitive_triples, scan_generator_block
 from descente.core_arith import Factorization, coprime
 from descente.descent_engine import (
+    DescentTrace,
+    IndexedDescentFamily,
+    TraceEntry,
     check_id,
     check_id_prime,
     pair_decode,
@@ -138,9 +144,9 @@ def test_claim_ii_data_validation():
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ((6, 4, 0, 0, 0), "p and q must be coprime"),
+        ((6, 4, 0, 0, 0), "6 and 4 are not coprime"),
         ((5, 3, 4, 0, 0), "exactly one of p, q must be odd"),
-        ((2, 3, 0, 0, 0), "need p > q"),
+        ((2, 3, 0, 0, 0), "need p > q, got p=2, q=3"),
         ((5, 2, 0, 2, 1), "p and q must be the squares of e and f"),
         ((4, 1, 0, 2, 1), r"p\^2 - q\^2 must equal c\^2"),
         ((1, 0, 1, 1, 0), "need e > f > 0"),
@@ -177,6 +183,18 @@ def test_claim_ii_data_messages(fields, message):
         # No claim record is valid (that is the theorem): only bad is tried.
         (ClaimIData, None, None, (1, 0, 1, 1, 0)),
         (ClaimIIData, None, None, (1, 2, 3, 4)),
+        (
+            IndexedDescentFamily,
+            ("f", (bool,), abs, (abs,), str),
+            ("g", (bool, bool), abs, (abs, abs), str),
+            ("f", (bool,), abs, (), str),
+        ),
+        (
+            DescentTrace,
+            ("x", (TraceEntry(1, 5, "a"),), "predicate-holds"),
+            ("y", (TraceEntry(2, 6, "b"), TraceEntry(1, 5, "a")), "bound-exceeded"),
+            ("x", (TraceEntry(1, 5, "a"),), "bogus"),
+        ),
     ],
 )
 def test_checked_records_make_and_replace_check_like_the_constructor(cls, good, other, bad):
@@ -189,6 +207,23 @@ def test_checked_records_make_and_replace_check_like_the_constructor(cls, good, 
         with pytest.raises(DomainError):
             record._replace(**{k: b for k, g, b in zip(cls._fields, good, bad) if g != b})
         assert record._replace(**dict(zip(cls._fields, other))) == cls(*other)
+
+
+def test_every_record_that_checks_its_fields_is_a_checked_record():
+    """A namedtuple record of the package whose __new__ checks its fields
+    derives from CheckedRecord, whose _make builds through that __new__."""
+    records = {}
+    for info in pkgutil.iter_modules(descente.__path__):
+        module = importlib.import_module(f"descente.{info.name}")
+        for name, cls in vars(module).items():
+            # A bare namedtuple, with tuple as its base, checks nothing.
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and hasattr(cls, "_fields") and "__new__" in vars(cls)
+                    and tuple not in cls.__bases__):
+                records[name] = cls
+    assert {"Factorization", "IndexedDescentFamily", "DescentTrace", "PythTriple",
+            "Generators", "ClaimIData", "ClaimIIData", "NormalForm"} <= set(records)
+    assert [name for name, cls in records.items() if not issubclass(cls, CheckedRecord)] == []
 
 
 def test_no_claim_i_data_exists_up_to_e_200():
