@@ -7,7 +7,7 @@ This module holds the shared exception types, the base of the checked
 records, and the command-line exit codes, which are stable and documented:
   0   success (and, for `search`, theorem upheld: nothing found)
   1   I/O error: an unwritable cache path, or a failed write of the output
-      (`write error: ...` on stderr, whether stdout is buffered or not)
+      (one `write error: ...` line, whether stdout is buffered or not)
   2   `search` found a counterexample (a bug by theorem; CI must fail loudly)
   64  usage error (unknown command, instance, or malformed arguments)
   65  precondition failure in `decompose` or `descent` (valid numbers,

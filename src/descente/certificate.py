@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import time
 
-from . import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, DomainError
+from . import EXIT_COUNTEREXAMPLE, EXIT_OK, DomainError, UsageError
 
 # The largest bound search accepts.  Its work grows as sqrt(sqrt(bound)):
 # 10^28 tests 1,725,872 pairs in about 2.7 s as a subprocess (2.4-3.0 s over
@@ -175,12 +174,14 @@ def search(
 
 
 def cmd_search(bound: int, cache_path: str | None) -> tuple:
+    # The command states search's own limits as usage errors, before the
+    # cache is touched, as triples and check state theirs.
+    if bound < 1:
+        raise UsageError("bound must be >= 1")
+    if bound > MAX_BOUND:
+        raise UsageError(f"bound must be <= {MAX_BOUND}")
     start = time.monotonic()
-    try:
-        found = search(bound, cache_path)
-    except OSError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_IO, ()
+    found = search(bound, cache_path)
     elapsed = round(time.monotonic() - start, 3)
     rows = [(f"counterexample: ({x0}, {x1}, {x2}, {x3})",
              {"record": "solution", "x0": x0, "x1": x1, "x2": x2, "x3": x3})

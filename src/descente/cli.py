@@ -9,9 +9,9 @@ code.  No package module imports this one: under `python -m descente.cli`
 it runs as __main__, and an import would compile it a second time.
 
 A body returns its exit code and rows, each a text line and its JSONL
-record; main alone reads --format and writes one of the two per row.  The
-exit codes live in the package module, descente.  JSON-lines output is one
-flat UTF-8 object per line, keys in fixed order, written by descente.jsonl.
+record, or raises: main alone maps UsageError, DomainError and OSError to
+64, 65 and 1, each with one stderr line, and writes one of the two per row
+as --format says.  descente.jsonl writes each record as one flat line.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import gc
 import os
 import sys
 
-from . import EXIT_IO, EXIT_OK, EXIT_USAGE, DomainError, UsageError
+from . import EXIT_IO, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, DomainError, UsageError
 
 REQUIRED = object()
 FORMAT = {"--format": (("text", "jsonl"), "text", "text or jsonl (default: text)")}
@@ -132,25 +132,31 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         args = parse(argv)
         if args is None:
-            print(help_text(command), file=out)
-            return EXIT_OK
-        from importlib import import_module
-
-        fmt = args.pop("--format", "text")
-        module = import_module(f"descente.{COMMANDS[command][0]}")
-        code, rows = getattr(module, f"cmd_{command}")(*args.values())
-        if fmt == "jsonl":
-            from .jsonl import dumps
-
-            for _, record in rows:
-                print(dumps(record), file=out)
+            fmt, code, rows = "text", EXIT_OK, [(help_text(command), None)]
         else:
-            for text, _ in rows:
-                print(text, file=out)
-        return code
-    except (UsageError, DomainError) as exc:
+            from importlib import import_module
+
+            fmt = args.pop("--format", "text")
+            module = import_module(f"descente.{COMMANDS[command][0]}")
+            code, rows = getattr(module, f"cmd_{command}")(*args.values())
+    except UsageError as exc:
         print(usage(command), f"descente: error: {exc}", sep="\n", file=sys.stderr)
         return EXIT_USAGE
+    except DomainError as exc:
+        print(f"precondition failure: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except OSError as exc:  # search's cache is the only file a body opens
+        print(f"cache error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    if fmt == "jsonl":
+        from .jsonl import dumps
+
+        for _, record in rows:
+            print(dumps(record), file=out)
+    else:
+        for text, _ in rows:
+            print(text, file=out)
+    return code
 
 
 def run() -> int:
@@ -162,8 +168,8 @@ def run() -> int:
     collector alone, for callers in the same process.
 
     An OSError from main, or from the flush of stdout after it, is a failed
-    write of the output (a full disk, a closed pipe): cmd_search turns the
-    cache's own errors into `cache error:`, so only output writes reach here.
+    write of the output (a full disk, a closed pipe): main maps the others,
+    from parsing and the body, before it writes the help text or the rows.
     It prints one `write error:` line and returns EXIT_IO, whether stdout is
     buffered or not.  fd 1 then points at os.devnull, so that the flush at
     interpreter exit finds no failing stream."""

@@ -14,12 +14,11 @@ owned by this module (pair_encode / pair_decode).
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from itertools import count
 
-from . import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_PRECONDITION, CheckedRecord, DomainError, UsageError
+from . import EXIT_COUNTEREXAMPLE, EXIT_OK, CheckedRecord, DomainError, UsageError
 
 Predicate = Callable[[int], bool]
 Weight = Callable[[int], int]
@@ -576,11 +575,7 @@ def cmd_descent(name: str, values: list[int]) -> tuple:
     if len(values) != arity:
         raise UsageError(f"instance {name!r} takes {arity} start value(s)")
     inst, start = trace_factory(values)
-    try:
-        trace = run_descent(inst, start, max_steps=10_000)
-    except DomainError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION, ()
+    trace = run_descent(inst, start, max_steps=10_000)
     # A fermat or walsh descent starts only from a counterexample, which the
     # theorem rules out; it is wired anyway so a falsifying input descends.
     # Any other start ends its trace at once, where the predicate holds.

@@ -7,11 +7,10 @@ independent oracles.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 
 from .core_arith import check_coprime, check_natural, common_prime_witness, coprime
-from . import EXIT_OK, EXIT_PRECONDITION, CheckedRecord, DomainError, UsageError
+from . import EXIT_OK, CheckedRecord, DomainError, UsageError
 
 # The largest max_x2 triples accepts.  Its rows grow as max_x2 log max_x2:
 # 10^5 prints 161,436 rows as a subprocess with PYTHONUNBUFFERED=1 in about
@@ -190,18 +189,14 @@ def cmd_decompose(kind: str, values: list[int]) -> tuple:
         raise UsageError(f"decompose {kind} takes {n} values")
     if any(v < 0 for v in values):
         raise UsageError("values must be naturals")
-    try:
-        if kind == "triple":
-            t = PythTriple(*values)
-            line = "i={} a={} b={}".format(*decompose_sum_of_squares(t))
-            z = common_prime_witness(values) if t.x2 else None
-            if z is not None:
-                line += f"  (non-primitive, common factor {z})"
-        elif kind == "two-square":
-            line = "m={} k={}".format(*decompose_primitive_two_square(*values))
-        else:
-            line = "m={} k={}".format(*frenicle_xxxviii(PythTriple(*values[:3]), values[3]))
-    except DomainError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION, ()
+    if kind == "triple":
+        t = PythTriple(*values)
+        line = "i={} a={} b={}".format(*decompose_sum_of_squares(t))
+        z = common_prime_witness(values) if t.x2 else None
+        if z is not None:
+            line += f"  (non-primitive, common factor {z})"
+    elif kind == "two-square":
+        line = "m={} k={}".format(*decompose_primitive_two_square(*values))
+    else:
+        line = "m={} k={}".format(*frenicle_xxxviii(PythTriple(*values[:3]), values[3]))
     return EXIT_OK, [(line, None)]

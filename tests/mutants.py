@@ -172,6 +172,19 @@ MUTANTS = [
         "a 5,000-digit mark crashes the search in int()",
     ),
     Mutant(
+        "search-limit", CERT,
+        "if bound > MAX_BOUND:", "if bound >= MAX_BOUND:",
+        ("tests/test_cli.py::test_search_accepts_its_own_limit",),
+        "`search` rejects the bound at its own limit",
+    ),
+    Mutant(
+        "precondition-exit", CLI,
+        "        return EXIT_PRECONDITION\n", "        return EXIT_USAGE\n",
+        ("tests/test_cli.py::test_descent_vii31_beyond_prime_limit_exits_65",
+         "tests/test_cli.py::test_decompose_precondition_failure_exits_65"),
+        "a precondition failure exits 64, as a usage error",
+    ),
+    Mutant(
         "no-freeze", CLI,
         "    gc.freeze()\n", "",
         ("tests/test_certificate.py",),

@@ -252,6 +252,28 @@ def test_no_package_module_imports_json():
     assert importers == []
 
 
+ERROR_MAPPING_NAMES = {"stderr", "EXIT_IO", "EXIT_PRECONDITION", "EXIT_USAGE"}
+
+
+def test_only_cli_maps_errors_to_exit_codes():
+    # A command's body raises; cli.main alone writes the error line on
+    # stderr and picks the exit code for a usage, precondition or I/O error.
+    mappers = []
+    for path in sorted(Path(SRC, "descente").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                banned = {alias.name for alias in node.names} & ERROR_MAPPING_NAMES
+            elif isinstance(node, ast.Attribute):
+                banned = node.attr == "stderr"
+            else:
+                banned = isinstance(node, ast.Name) and node.id == "stderr"
+            if banned:
+                mappers.append(f"{path.name}:{node.lineno}")
+    assert mappers == []
+
+
 # One argv per command, in each format it has, and one usage error.  No
 # package module imports descente.cli, which `python -m descente.cli` runs
 # as __main__: such an import would compile it a second time.  Its process

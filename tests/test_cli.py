@@ -259,6 +259,19 @@ def test_search_bound_above_the_limit_exits_64(tmp_path, capsys):
     assert not cache.exists()
 
 
+def test_search_accepts_its_own_limit(tmp_path, monkeypatch, capsys):
+    import descente.certificate as certificate
+
+    monkeypatch.setattr(certificate, "MAX_BOUND", 10**6)
+    assert run_cli("search", "--bound", "1000000")[0] == EXIT_OK
+    cache = tmp_path / "cache.txt"
+    assert run_cli("search", "--bound", "1000001", "--cache", str(cache)) == (EXIT_USAGE, [])
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: descente search")
+    assert err[1:] == ["descente: error: bound must be <= 1000000"]
+    assert not cache.exists()
+
+
 def test_search_removed_options_exit_64():
     assert run_cli("search", "--bound", "300", "--workers", "2") == (EXIT_USAGE, [])
     assert run_cli("search", "--bound", "300", "--weight-mode", "walsh") == (EXIT_USAGE, [])
@@ -725,13 +738,18 @@ def _child_env(unbuffered: bool) -> dict:
 @pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
 @pytest.mark.parametrize(
     "argv",
-    [("search", "--bound", "10"), ("descent", "gcd", "89", "55"), ("triples", "100000")],
+    [("search", "--bound", "10"), ("descent", "gcd", "89", "55"), ("triples", "100000"),
+     ("-h",), ("search", "--bound", "10", "--cache", "{tmp}/c.txt")],
     ids=" ".join,
 )
-def test_a_failed_write_of_the_output_exits_1_with_one_line(argv, sink, unbuffered):
+def test_a_failed_write_of_the_output_exits_1_with_one_line(argv, sink, unbuffered, tmp_path):
     """A full device or a pipe with no reader exits 1 with one `write error:`
     line and no traceback, whether stdout is buffered (the error comes from
-    the flush after main) or not (it comes from a print inside the command)."""
+    the flush after main) or not (it comes from a print inside main).  The
+    help text and a search that writes its cache fail the same way: main
+    writes its output after the try that turns the cache's errors into
+    `cache error:`."""
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if sink == "/dev/full":
         if not os.path.exists(sink):
             pytest.skip("no /dev/full on this system")
