@@ -144,12 +144,13 @@ def search(
             return []
         # Fail now, not after the search, if the mark could not be appended;
         # a file made only to find that out goes again, so that a run that
-        # finds a solution writes no file.
+        # finds a solution writes no file.  Through a dangling symlink, the
+        # file made is the link's target: it goes, and the link stays.
         existed = os.path.exists(cache_path)
         with open(cache_path, "a", encoding="utf-8"):
             pass
         if not existed:
-            os.remove(cache_path)
+            os.remove(os.path.realpath(cache_path))
     found: list[tuple[int, int, int, int]] = []
     # isqrt(isqrt(n)) is the integer fourth root of n.
     for f, e, _, _, _ in primitive_triples(math.isqrt(math.isqrt(2 * bound_x2))):

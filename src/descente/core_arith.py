@@ -2,8 +2,8 @@
 
 Naturals are plain Python ints restricted to values >= 0; every operation
 validates its arguments and raises DomainError outside its precondition.
-The three guards state the shared preconditions once each: check_natural,
-check_prime (a prime p) and check_coprime (a coprime pair a, b).
+Four guards state the shared preconditions once each: check_natural,
+check_prime, check_coprime and check_primitive.
 Divisibility follows the classical convention: 1 is the minimum and 0 the
 maximum of the divides ordering, so divides(x, 0) is always true.
 """
@@ -31,6 +31,11 @@ def check_prime(p: int) -> None:
 def check_coprime(a: int, b: int) -> None:
     if not coprime([a, b]):
         raise DomainError(f"{a} and {b} are not coprime")
+
+
+def check_primitive(*values: int) -> None:
+    if (z := common_prime_witness(list(values))) is not None:
+        raise DomainError(f"{values} shares the prime factor {z}")
 
 
 def divides(x: int, y: int) -> bool:

@@ -370,22 +370,26 @@ def pentagon_step(m: int, n: int) -> tuple[int, int]:
     return m - n, 2 * n - m
 
 
-def _pair_memo() -> tuple[Callable[[int], tuple[int, int]], Callable[[int, int], int]]:
-    """pair_decode and pair_encode with a closure-local memo of the last code:
-    a walk that reads each value's pair several times decodes only its start.
-    A code the memo does not hold is decoded afresh, so the instance is pure."""
-    last = [None, None]
+def _memo(compute: Callable) -> tuple[Callable, Callable]:
+    """read(v) is compute(v), kept for the last v only; seed(v, result)
+    stores what a step knows of its output v, and returns v.  A walk that
+    seeds each step's output computes at its start only, any other value is
+    computed afresh, and the memo holds one entry however much is read."""
+    last = (None, None)
 
-    def decode(v: int) -> tuple[int, int]:
-        if last[0] != v:
-            last[:] = v, pair_decode(v)
-        return last[1]
+    def read(v: int):
+        nonlocal last
+        key, result = last
+        if key != v:
+            key, result = last = v, compute(v)
+        return result
 
-    def encode(a: int, b: int) -> int:
-        last[:] = pair_encode(a, b), (a, b)
-        return last[0]
+    def seed(v: int, result) -> int:
+        nonlocal last
+        last = v, result
+        return v
 
-    return decode, encode
+    return read, seed
 
 
 def pentagon_instance() -> DescentInstance:
@@ -396,7 +400,7 @@ def pentagon_instance() -> DescentInstance:
     trace ends step-undefined once the side is no longer less than the
     diagonal.
     """
-    decode, encode = _pair_memo()
+    decode, seed = _memo(pair_decode)
 
     def predicate(v: int) -> bool:
         m, n = decode(v)
@@ -404,9 +408,10 @@ def pentagon_instance() -> DescentInstance:
 
     def step(v: int) -> int | None:
         try:
-            return encode(*pentagon_step(*decode(v)))
+            pair = pentagon_step(*decode(v))
         except DomainError:  # outside the window: run_descent would re-raise it
             return None
+        return seed(pair_encode(*pair), pair)
 
     weight, describe = lambda v: decode(v)[0], lambda v: "proportion {}:{}".format(*decode(v))
     return DescentInstance("pentagon", predicate, weight, step, describe)
@@ -423,23 +428,21 @@ def vii31_rd_instance() -> ReductionDescentInstance:
     class, and a step divides out the largest prime factor, so the walk
     from x lands on the least prime of x.
 
-    It factors a value once.  A step's output gets the input's factor list
-    with the largest prime's exponent lowered, and a value is prime iff its
-    list is one prime to the first power.  The memo is closure-local, and a
-    value it does not hold is factored afresh, so the instance stays pure.
-    core_arith is imported only where a value is factored, which no check
-    does (the predicate holds everywhere), so `check id|rd vii31` does not
-    load it.
+    It reads factor lists through _memo, so a walk factors its start only:
+    a step seeds its output with the input's list, the largest prime's
+    exponent lowered, and a value is prime iff its list is one prime to the
+    first power.  core_arith is imported only where a value is factored,
+    which no check does (the predicate holds everywhere), so
+    `check id|rd vii31` does not load it.
     """
-    memo: dict[int, list[tuple[int, int]]] = {}
 
-    def factors(x: int) -> list[tuple[int, int]]:
+    def factorize(x: int) -> list[tuple[int, int]]:
         from .core_arith import _prime_factors, check_natural
 
         check_natural(x)
-        if x not in memo:
-            memo[x] = _prime_factors(x)
-        return memo[x]
+        return _prime_factors(x)
+
+    factors, seed = _memo(factorize)
 
     def prime(x: int) -> bool:
         return factors(x) == [(x, 1)]  # 0 and 1 have no factors
@@ -448,8 +451,7 @@ def vii31_rd_instance() -> ReductionDescentInstance:
         if prime(x) or x <= 1:  # prime(x) first: it rejects a non-natural x
             return None
         *rest, (p, e) = factors(x)
-        memo[x // p] = rest + [(p, e - 1)] if e > 1 else rest
-        return x // p
+        return seed(x // p, rest + [(p, e - 1)] if e > 1 else rest)
 
     return ReductionDescentInstance(
         "vii31-rd",
@@ -463,13 +465,12 @@ def vii31_rd_instance() -> ReductionDescentInstance:
 
 def vii31_instance() -> DescentInstance:
     """Every number other than 1 has a prime divisor, as an indefinite
-    descent: vii31_rd_instance seen without its base.
+    descent: vii31_rd_instance's fields without its name and base.
 
     The predicate holds everywhere, so the obligations are vacuous below any
     bound; the divisor-walk step is still wired in for completeness.
     """
-    rd = vii31_rd_instance()
-    return DescentInstance("vii31", _has_prime_divisor, rd.weight, rd.step, rd.describe)
+    return DescentInstance("vii31", *vii31_rd_instance()[2:])
 
 
 def _euclid_terminates(v: int) -> bool:
@@ -485,11 +486,11 @@ def gcd_instance() -> ReductionDescentInstance:
     weight is the second component, which one remainder step strictly
     decreases.
     """
-    decode, encode = _pair_memo()
+    decode, seed = _memo(pair_decode)
 
     def step(v: int) -> int:
         a, b = decode(v)
-        return encode(b, a % b)
+        return seed(pair_encode(b, a % b), (b, a % b))
 
     return ReductionDescentInstance(
         "gcd",

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core_arith import check_coprime, check_natural, common_prime_witness, coprime
+from .core_arith import check_coprime, check_natural, check_primitive, coprime
+from .core_arith import common_prime_witness
 from . import EXIT_OK, CheckedRecord, DomainError, UsageError
 
 # The largest max_x2 triples accepts.  Its rows grow as max_x2 log max_x2:
@@ -77,9 +78,7 @@ def decompose_primitive_triple(t: PythTriple) -> Generators:
 
     if (t.x0, t.x1, t.x2) == (0, 0, 0):
         raise DomainError("the zero triple has no generators")
-    if not t.is_primitive():
-        z = common_prime_witness([t.x0, t.x1, t.x2])
-        raise DomainError(f"({t.x0}, {t.x1}, {t.x2}) shares the prime factor {z}")
+    check_primitive(t.x0, t.x1, t.x2)
     i, a, b = decompose_sum_of_squares(t)
     p = exact_sqrt(a)
     q = exact_sqrt(b)
@@ -132,9 +131,7 @@ def decompose_primitive_two_square(x0: int, x1: int, x2: int) -> tuple[int, int]
     from .proportions import split_coprime_double_square
 
     a, b = decompose_two_square(x0, x1, x2)
-    if not coprime([x0, x1, x2]):
-        z = common_prime_witness([x0, x1, x2])
-        raise DomainError(f"({x0}, {x1}, {x2}) shares the prime factor {z}")
+    check_primitive(x0, x1, x2)
     m, k = split_coprime_double_square(2, a, b, x1)
     assert 2 * m**2 != k**2
     assert x0 == abs(2 * m**2 - k**2) and x1 == 2 * m * k and x2 == 2 * m**2 + k**2

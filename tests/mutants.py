@@ -108,6 +108,12 @@ MUTANTS = [
         "`--cache ''` searches before its path fails",
     ),
     Mutant(
+        "probe-removes-link", CERT,
+        "os.remove(os.path.realpath(cache_path))", "os.remove(cache_path)",
+        ("tests/test_cli.py",),
+        "a cache path that is a dangling symlink loses its link to a regular file",
+    ),
+    Mutant(
         "multiples-primitive", CERT,
         "range(1, bound_x2 // x2 + 1)", "range(1, 2)",
         ("tests/test_fermat.py",),
@@ -298,10 +304,16 @@ MUTANTS = [
     ),
     Mutant(
         "memo-no-seed", ENGINE,
-        "        last[:] = pair_encode(a, b), (a, b)\n        return last[0]\n",
-        "        return pair_encode(a, b)\n",
+        "        last = v, result\n        return v\n", "        return v\n",
         ("tests/test_descent.py",),
-        "a gcd or pentagon walk decodes each step's output again",
+        "a gcd, pentagon or vii31 walk decodes or factors each step's output again",
+    ),
+    Mutant(
+        "memo-no-store", ENGINE,
+        "key, result = last = v, compute(v)", "result = compute(v)",
+        ("tests/test_descent.py",),
+        "the memo keeps only what a step seeds, so a walk decodes or factors its "
+        "start once for each read",
     ),
     Mutant(
         "pentagon-window", ENGINE,
@@ -364,6 +376,14 @@ MUTANTS = [
         "    return\n",
         ("tests/test_core_arith.py",),
         "every coprime guard passes a pair with a common factor",
+    ),
+    Mutant(
+        "check-primitive-accepts", ARITH,
+        "    if (z := common_prime_witness(list(values))) is not None:\n"
+        '        raise DomainError(f"{values} shares the prime factor {z}")\n',
+        "    return\n",
+        ("tests/test_core_arith.py",),
+        "every primitivity guard passes values with a common prime factor",
     ),
     Mutant(
         "12-bases", ARITH,

@@ -193,6 +193,22 @@ def test_search_unwritable_cache_fails_before_any_pair(tmp_path, monkeypatch, ca
     assert tested == [False] * 5 and cache.read_text() == "upto 1000000\n"
 
 
+def test_search_through_a_dangling_symlink_keeps_the_link(tmp_path, monkeypatch):
+    """The writability probe removes the file it made, the link's target,
+    and the mark lands there; the link itself stays a link."""
+    import descente.certificate as certificate
+
+    link, target = tmp_path / "link.txt", tmp_path / "target.txt"
+    link.symlink_to(target.name)
+    tested = []
+    monkeypatch.setattr(
+        certificate, "scan_generator_block", lambda *a: tested.append(target.exists()) or []
+    )
+    assert run_cli("search", "--bound", "1000000", "--cache", str(link))[0] == EXIT_OK
+    assert tested == [False] * 5
+    assert link.is_symlink() and target.read_text() == "upto 1000000\n"
+
+
 @pytest.mark.parametrize(
     "content",
     [

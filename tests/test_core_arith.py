@@ -3,6 +3,7 @@ valuations, coprimality.  Frozen expected values were computed with
 independent brute-force oracles (see oracles.py)."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -25,7 +26,12 @@ from descente.core_arith import (
     valuation,
 )
 from descente.descent_engine import vii31_rd_instance
-from descente.diophantine import Generators, PythTriple
+from descente.diophantine import (
+    Generators,
+    PythTriple,
+    decompose_primitive_triple,
+    decompose_primitive_two_square,
+)
 from descente.fermat import reduce_area_witness, reduce_triple_by_prime
 from descente.proportions import (
     coprime_side_with_prime,
@@ -429,7 +435,7 @@ def test_divides_via_valuations_agrees():
 
 
 # ---------------------------------------------------------------------------
-# the prime and coprime guards, at every use
+# the prime, coprime and primitivity guards, at every use
 
 
 @pytest.mark.parametrize(
@@ -448,11 +454,14 @@ def test_divides_via_valuations_agrees():
         (coprime_side_with_prime, (2, 4, 6), "4 and 6 are not coprime"),
         (split_coprime_double_square, (2, 2, 4, 4), "2 and 4 are not coprime"),
         (split_sum_diff_square, (6, 4, 2), "6 and 4 are not coprime"),
+        (decompose_primitive_triple, (PythTriple(6, 8, 10),),
+         "(6, 8, 10) shares the prime factor 2"),
+        (decompose_primitive_two_square, (3, 6, 9), "(3, 6, 9) shares the prime factor 3"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )
 def test_guard_messages(function, args, message):
-    """Each prime and coprime guard's exact message, on an input that passes
-    every check before it."""
-    with pytest.raises(DomainError, match=f"^{message}$"):
+    """Each prime, coprime and primitivity guard's exact message, on an input
+    that passes every check before it."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         function(*args)
