@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 
 from . import CheckedRecord, DomainError
 
@@ -101,23 +102,29 @@ def is_prime(p: int) -> bool:
 
 
 def least_prime_divisor(x: int) -> int:
-    """Smallest prime dividing x.  The same factorization backs the
-    builtin 'vii31' descent instance."""
+    """Smallest prime dividing x: the first that _ascending_factors yields,
+    so what is left of x above it is never factored."""
     check_natural(x)
     if x in (0, 1):
         raise DomainError(f"least_prime_divisor undefined for {x}")
-    return _prime_factors(x)[0][0]
+    return next(_ascending_factors(x))[0]
 
 
 def _prime_factors(x: int) -> list[tuple[int, int]]:
-    """The (prime, exponent) pairs of x >= 1, primes increasing.
+    """The (prime, exponent) pairs of x >= 1, primes increasing.  The same
+    factorization backs the builtin 'vii31' descent instance."""
+    return list(_ascending_factors(x))
 
-    Trial division finds the factors below _TRIAL_LIMIT; Pollard-Brent rho
-    splits what is left, and each factor is certified by is_prime.  A
-    cofactor at or above PRIME_LIMIT raises DomainError, which also bounds
-    the work: every composite below it has a factor under 2*10**12.
+
+def _ascending_factors(x: int) -> Iterator[tuple[int, int]]:
+    """Yield the (prime, exponent) pairs of x >= 1, primes increasing.
+
+    Trial division yields the factors below _TRIAL_LIMIT as it finds them;
+    Pollard-Brent rho splits what is left, and each factor is certified by
+    is_prime.  A cofactor at or above PRIME_LIMIT raises DomainError, which
+    also bounds the work: every composite below it has a factor under
+    2*10**12.
     """
-    factors = []
     n, d, stop = x, 2, _TRIAL_LIMIT
     while d * d <= n and d < stop:
         if n % d == 0:
@@ -125,12 +132,12 @@ def _prime_factors(x: int) -> list[tuple[int, int]]:
             while n % d == 0:
                 e += 1
                 n //= d
-            factors.append((d, e))
+            yield d, e
         d += 1 if d == 2 else 2
     if d * d > n:  # what is left is 1 or a prime
         if n > 1:
-            factors.append((n, 1))
-        return factors
+            yield n, 1
+        return
     if n >= PRIME_LIMIT:
         raise DomainError(f"cannot factor {x}: cofactor {n} is at or above {PRIME_LIMIT}")
     large = []
@@ -142,7 +149,7 @@ def _prime_factors(x: int) -> list[tuple[int, int]]:
         else:
             f = _pollard_brent(m)
             pending += [f, m // f]
-    return factors + [(p, large.count(p)) for p in sorted(set(large))]
+    yield from ((p, large.count(p)) for p in sorted(set(large)))
 
 
 def _pollard_brent(n: int) -> int:

@@ -1,11 +1,13 @@
 """Bounded verifier for the descent schemas and a trace executor.
 
-An instance packages a decidable predicate over naturals, a natural-valued
-weight (which makes well-foundedness free), and a partial step function
-producing a smaller counterexample.  The checkers certify the schema
-obligations for every value up to a bound and report violations, a step
-that raises included, as data.  The predicate, base, weight and describe
-must be total: their exceptions reach the caller of a check or a trace.
+An instance, one DescentInstance record for every schema, packages
+decidable predicates over naturals, a natural-valued weight (which makes
+well-foundedness free), a partial step per predicate producing a smaller
+counterexample, and optionally a base class.  The checkers certify the
+schema obligations for every value up to a bound and report violations, a
+step that raises included, as data.  The predicates, base, weight and
+describe must be total: their exceptions reach the caller of a check or a
+trace.
 
 Tuple-valued descents are packed through the invertible Cantor pairing
 owned by this module (pair_encode / pair_decode).
@@ -75,63 +77,33 @@ def tagged(tag: int, pred: Predicate) -> Predicate:
 
 
 # ---------------------------------------------------------------------------
-# instance types
+# the descent record
 
 
 class DescentInstance(
-    namedtuple("DescentInstance", "name predicate weight step describe", defaults=(str,))
+    CheckedRecord, namedtuple("DescentInstance", "name predicates weight steps describe base")
 ):
-    """Indefinite descent: every counterexample steps to a smaller one.
+    """A descent: predicates P_0, ..., P_{n-1} with one step each, a
+    natural-valued weight, and optionally a base class.  The schemas differ
+    in what they prove of it: check_id takes one predicate and no base,
+    check_rd one predicate and a base, and check_id_prime any family.
 
-    predicate, weight, and step must be pure functions.  The engine calls
-    step only on a value where predicate fails, so a step need not test it.
+    predicates, weight, steps and base must be pure.  A check calls steps[i]
+    only where predicates[i] and the base fail, and a walk only where its
+    test fails (the base if there is one, else predicates[i]).  So a step
+    need test neither, but with a base it must be defined off the base.
     """
 
     __slots__ = ()
 
-
-class ReductionDescentInstance(
-    namedtuple(
-        "ReductionDescentInstance", "name base predicate weight step describe", defaults=(str,)
-    )
-):
-    """Reduction-descent: a base class satisfies the predicate directly;
-    everything else must step down to a smaller counterexample.
-
-    The checker calls step only on a value where both predicate and base
-    fail, and a trace wherever the base fails, so a step must be defined off
-    the base and need test neither.
-    """
-
-    __slots__ = ()
-
-
-class IndexedDescentFamily(
-    CheckedRecord, namedtuple("IndexedDescentFamily", "name predicates weight steps describe")
-):
-    """Varying-predicate descent: a counterexample of P_i steps to a smaller
-    counterexample of P_{i+1}.
-
-    Indexing beyond the list saturates at the final predicate.  The engine
-    calls steps[i] only on a value where predicates[i] fails, so a step need
-    not test it.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        name: str,
-        predicates: tuple[Predicate, ...],
-        weight: Weight,
-        steps: tuple[Step, ...],
-        describe: Callable[[int], str] = str,
-    ):
+    def __new__(cls, name: str, predicates: tuple[Predicate, ...], weight: Weight,
+                steps: tuple[Step, ...], describe: Callable[[int], str] = str,
+                base: Predicate | None = None):
         if not predicates:
             raise DomainError("predicate family must be nonempty")
         if len(steps) != len(predicates):
             raise DomainError("one step per predicate required")
-        return tuple.__new__(cls, (name, predicates, weight, steps, describe))
+        return tuple.__new__(cls, (name, predicates, weight, steps, describe, base))
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +183,13 @@ class DescentTrace(CheckedRecord, namedtuple("DescentTrace", "instance entries o
 # checkers
 
 
-def _check(
-    schema: str,
-    name: str,
-    bound: int,
-    weight: Weight,
-    obligations: list[tuple[int | None, Predicate, Step, Predicate]],
-    base: Predicate | None = None,
-) -> Report:
+def _check(schema: str, inst: DescentInstance, bound: int,
+           obligations: list[tuple[int | None, Predicate, Step, Predicate]]) -> Report:
     """The one loop over check values, for ID, RD and ID'.  For each (index,
     predicate, step, target) obligation and each value <= bound where the
-    predicate fails, a value in base is a failure, and any other must step to
-    a lower-weight value where target fails.  Base is read only there, which
-    for a pure instance gives the report of reading it first.
+    predicate fails, a value in inst's base is a failure, and any other must
+    step to a lower-weight value where target fails.  Base is read only
+    there, which for a pure instance gives the report of reading it first.
 
     A predicate may carry candidates(bound): the values <= bound, distinct
     and increasing, outside which it cannot fail.  The loop then visits only
@@ -234,6 +200,7 @@ def _check(
     assume the claim its check certifies."""
     if bound < 1:
         raise DomainError("bound must be >= 1")
+    base, weight = inst.base, inst.weight
     failures: list[Failure] = []
     for index, predicate, step, target in obligations:
         candidates = getattr(predicate, "candidates", None)
@@ -261,83 +228,77 @@ def _check(
             if target(u):
                 detail = f"step output {u} satisfies the predicate"
                 failures.append(Failure(v, index, "step-not-counterexample", detail))
-    return Report(schema, name, bound, tuple(failures))
+    return Report(schema, inst.name, bound, tuple(failures))
+
+
+def _self_obligation(schema: str, inst: DescentInstance, base: bool) -> list:
+    """The one obligation of ID or RD, the predicate stepping into itself.
+    The schema takes one predicate, and a base for RD, none for ID."""
+    if len(inst.predicates) != 1 or (inst.base is not None) != base:
+        shape = "a base" if base else "no base"
+        raise DomainError(f"the {schema} schema takes one predicate and {shape}")
+    (predicate,), (step,) = inst.predicates, inst.steps
+    return [(None, predicate, step, predicate)]
 
 
 def check_id(inst: DescentInstance, bound: int) -> Report:
     """Certify the indefinite-descent obligations for all values <= bound."""
-    obligation = (None, inst.predicate, inst.step, inst.predicate)
-    return _check("id", inst.name, bound, inst.weight, [obligation])
+    return _check("id", inst, bound, _self_obligation("id", inst, base=False))
 
 
-def check_rd(inst: ReductionDescentInstance, bound: int) -> Report:
+def check_rd(inst: DescentInstance, bound: int) -> Report:
     """Certify both reduction-descent obligations for all values <= bound."""
-    obligation = (None, inst.predicate, inst.step, inst.predicate)
-    return _check("rd", inst.name, bound, inst.weight, [obligation], inst.base)
+    return _check("rd", inst, bound, _self_obligation("rd", inst, base=True))
 
 
-def check_id_prime(fam: IndexedDescentFamily, bound: int) -> Report:
+def check_id_prime(fam: DescentInstance, bound: int) -> Report:
     """Certify the per-index obligations of the varying-predicate schema:
     P_i steps into P_{i+1}, and the last predicate into itself."""
     preds = fam.predicates
     obligations = list(zip(range(len(preds)), preds, fam.steps, preds[1:] + preds[-1:]))
-    return _check("idprime", fam.name, bound, fam.weight, obligations)
+    return _check("idprime", fam, bound, obligations)
 
 
-def rd_to_id(inst: ReductionDescentInstance) -> DescentInstance:
+def rd_to_id(inst: DescentInstance) -> DescentInstance:
     """The classical transformation: check the disjunction base-or-predicate
     as a single indefinite descent.  The step is the instance's own, since
     the engine calls it only where the disjunction fails."""
-    return DescentInstance(
-        name=f"{inst.name}-as-id",
-        predicate=lambda z: inst.predicate(z) or inst.base(z),
-        weight=inst.weight,
-        step=inst.step,
-        describe=inst.describe,
+    _self_obligation("rd", inst, base=True)  # one predicate and a base
+    (predicate,), base = inst.predicates, inst.base
+    return inst._replace(
+        name=f"{inst.name}-as-id", predicates=(lambda z: predicate(z) or base(z),), base=None
     )
 
 
-def run_descent(
-    inst: DescentInstance | ReductionDescentInstance | IndexedDescentFamily,
-    start: int,
-    max_steps: int,
-) -> DescentTrace:
-    """Walk inst from start by its own schema's rule, recording weights.
+def run_descent(inst: DescentInstance, start: int, max_steps: int) -> DescentTrace:
+    """Walk inst from start, recording weights.  At its k-th value the walk
+    tests tests[min(k, last)] and steps by steps[min(k, last)], where tests
+    is (base,) if inst has a base and its predicates otherwise: an RD walk
+    ends where its base holds, and a family's follows the pairing that
+    check_id_prime certifies.
 
-    A DescentInstance steps until its predicate holds.  A
-    ReductionDescentInstance steps until its base holds: its step is
-    defined off the base, whatever the predicate says there.  An
-    IndexedDescentFamily of n predicates reads predicates[min(k, n - 1)] and
-    steps[min(k, n - 1)] at its k-th step, the pairing that check_id_prime
-    certifies: P_i steps into P_{i+1}, and the last predicate into itself.
-
-    The predicate is tested before the step cap, so a walk whose predicate
-    holds after exactly max_steps steps ends predicate-holds, and one where it
-    still fails there (at the start, for max_steps <= 0) ends bound-exceeded.
+    The test comes before the step cap, so a walk whose test holds after
+    exactly max_steps steps ends predicate-holds, and one where it still
+    fails there (at the start, for max_steps <= 0) ends bound-exceeded.
     A step that does not lower the weight ends the trace weight-not-decreased,
     with its output as the last entry.  A step that raises ends it step-error,
     unless it raises DomainError: that is a precondition the arithmetic cannot
     meet (a factor beyond the proven prime range, say), and it reaches the
     caller.
     """
-    if isinstance(inst, IndexedDescentFamily):
-        predicates, steps = inst.predicates, inst.steps
-    elif isinstance(inst, ReductionDescentInstance):
-        predicates, steps = (inst.base,), (inst.step,)
-    else:
-        predicates, steps = (inst.predicate,), (inst.step,)
-    last = len(predicates) - 1
+    tests = inst.predicates if inst.base is None else (inst.base,)
+    last = len(tests) - 1
     entries = [TraceEntry(start, inst.weight(start), inst.describe(start))]
     v = start
     for k in count():
-        if predicates[min(k, last)](v):
+        if tests[min(k, last)](v):
             outcome = "predicate-holds"
             break
         if k >= max_steps:
             outcome = "bound-exceeded"
             break
         try:
-            u = steps[min(k, last)](v)
+            u = inst.steps[min(k, last)](v)
         except DomainError:
             raise
         except Exception:  # a malformed step ends the trace as data
@@ -414,7 +375,7 @@ def pentagon_instance() -> DescentInstance:
         return seed(pair_encode(*pair), pair)
 
     weight, describe = lambda v: decode(v)[0], lambda v: "proportion {}:{}".format(*decode(v))
-    return DescentInstance("pentagon", predicate, weight, step, describe)
+    return DescentInstance("pentagon", (predicate,), weight, (step,), describe)
 
 
 def _has_prime_divisor(x: int) -> bool:
@@ -423,7 +384,7 @@ def _has_prime_divisor(x: int) -> bool:
     return True
 
 
-def vii31_rd_instance() -> ReductionDescentInstance:
+def vii31_rd_instance() -> DescentInstance:
     """VII.31 in reduction-descent form: primes (and 0, 1) are the base
     class, and a step divides out the largest prime factor, so the walk
     from x lands on the least prime of x.
@@ -453,24 +414,24 @@ def vii31_rd_instance() -> ReductionDescentInstance:
         *rest, (p, e) = factors(x)
         return seed(x // p, rest + [(p, e - 1)] if e > 1 else rest)
 
-    return ReductionDescentInstance(
+    return DescentInstance(
         "vii31-rd",
-        base=lambda x: x <= 1 or prime(x),
-        predicate=_has_prime_divisor,
+        predicates=(_has_prime_divisor,),
         weight=lambda x: x,
-        step=step,
+        steps=(step,),
         describe=lambda x: f"{x}" + (" (prime)" if prime(x) else ""),
+        base=lambda x: x <= 1 or prime(x),
     )
 
 
 def vii31_instance() -> DescentInstance:
     """Every number other than 1 has a prime divisor, as an indefinite
-    descent: vii31_rd_instance's fields without its name and base.
+    descent: vii31_rd_instance without its base.
 
     The predicate holds everywhere, so the obligations are vacuous below any
     bound; the divisor-walk step is still wired in for completeness.
     """
-    return DescentInstance("vii31", *vii31_rd_instance()[2:])
+    return vii31_rd_instance()._replace(name="vii31", base=None)
 
 
 def _euclid_terminates(v: int) -> bool:
@@ -479,7 +440,7 @@ def _euclid_terminates(v: int) -> bool:
     return True
 
 
-def gcd_instance() -> ReductionDescentInstance:
+def gcd_instance() -> DescentInstance:
     """Termination of the remainder descent over Cantor-encoded (a, b) pairs.
 
     Base class: the second component is 0 (the gcd has been reached).  The
@@ -492,13 +453,13 @@ def gcd_instance() -> ReductionDescentInstance:
         a, b = decode(v)
         return seed(pair_encode(b, a % b), (b, a % b))
 
-    return ReductionDescentInstance(
+    return DescentInstance(
         "gcd",
-        base=lambda v: decode(v)[1] == 0,
-        predicate=_euclid_terminates,
+        predicates=(_euclid_terminates,),
         weight=lambda v: decode(v)[1],
-        step=step,
+        steps=(step,),
         describe=lambda v: "pair ({}, {})".format(*decode(v)),
+        base=lambda v: decode(v)[1] == 0,
     )
 
 
@@ -551,8 +512,7 @@ INSTANCES = {
     "walsh": (
         4,
         lambda v: (
-            _fermat().walsh_family(),
-            _fermat().encode_walsh_candidate(_fermat().CandidateSolution(*v)),
+            (f := _fermat()).walsh_family(), f.encode_walsh_candidate(f.CandidateSolution(*v))
         ),
         {"idprime": (10**11, lambda bound: check_id_prime(_fermat().walsh_family(), bound))},
     ),

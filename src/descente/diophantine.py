@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core_arith import check_coprime, check_natural, check_primitive, coprime
-from .core_arith import common_prime_witness
+from .core_arith import check_coprime, check_natural, check_primitive, common_prime_witness
 from . import EXIT_OK, CheckedRecord, DomainError, UsageError
 
 # The largest max_x2 triples accepts.  Its rows grow as max_x2 log max_x2:
@@ -35,9 +34,6 @@ class PythTriple(CheckedRecord, namedtuple("PythTriple", "x0 x1 x2")):
         if x0**2 + x1**2 != x2**2:
             raise DomainError(f"({x0}, {x1}, {x2}) is not a Pythagorean triple")
         return tuple.__new__(cls, (x0, x1, x2))
-
-    def is_primitive(self) -> bool:
-        return coprime([self.x0, self.x1, self.x2])
 
 
 class Generators(CheckedRecord, namedtuple("Generators", "i p q")):

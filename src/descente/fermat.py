@@ -17,7 +17,6 @@ from collections import namedtuple
 
 from .descent_engine import (
     DescentInstance,
-    IndexedDescentFamily,
     pair_decode,
     pair_encode,
     quad_decode,
@@ -304,10 +303,10 @@ def fermat_instance() -> DescentInstance:
     def describe(v: int) -> str:
         return "candidate ({}, {}, {}, {})".format(*quad_decode(v))
 
-    return DescentInstance("fermat", _not_counterexample, weight, step, describe)
+    return DescentInstance("fermat", (_not_counterexample,), weight, (step,), describe)
 
 
-def walsh_family() -> IndexedDescentFamily:
+def walsh_family() -> DescentInstance:
     """Walsh's varying-predicate schedule: the theorem predicate feeds the
     sum-and-difference predicate once via Claim III (weight drop exactly 1),
     then Claims I and II keep descending at the state level.
@@ -338,7 +337,7 @@ def walsh_family() -> IndexedDescentFamily:
         kind = "candidate" if tag == 0 else "state"
         return "{} ({}, {}, {}, {})".format(kind, *quad_decode(payload))
 
-    return IndexedDescentFamily(
+    return DescentInstance(
         "walsh",
         (tagged(0, _not_counterexample), tagged(1, _not_claim_ii_code)),
         weight,

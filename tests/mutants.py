@@ -258,7 +258,7 @@ MUTANTS = [
     ),
     Mutant(
         "trace-index", ENGINE,
-        "u = steps[min(k, last)](v)", "u = steps[last](v)",
+        "u = inst.steps[min(k, last)](v)", "u = inst.steps[last](v)",
         ("tests/test_fermat.py",),
         "a family's walk takes its last step from the start",
     ),
@@ -270,10 +270,17 @@ MUTANTS = [
     ),
     Mutant(
         "rd-walks-predicate", ENGINE,
-        "predicates, steps = (inst.base,), (inst.step,)",
-        "predicates, steps = (inst.predicate,), (inst.step,)",
+        "tests = inst.predicates if inst.base is None else (inst.base,)",
+        "tests = inst.predicates",
         ("tests/test_descent.py",),
         "an RD walk stops where its predicate holds, not at its base",
+    ),
+    Mutant(
+        "schema-shape-base", ENGINE,
+        "if len(inst.predicates) != 1 or (inst.base is not None) != base:",
+        "if len(inst.predicates) != 1:",
+        ("tests/test_descent.py",),
+        "check_id checks an RD instance as RD, and check_rd an ID instance as ID",
     ),
     Mutant(
         "tagged-drops-inner", ENGINE,
@@ -384,6 +391,13 @@ MUTANTS = [
         "    return\n",
         ("tests/test_core_arith.py",),
         "every primitivity guard passes values with a common prime factor",
+    ),
+    Mutant(
+        "least-divisor-factors-all", ARITH,
+        "return next(_ascending_factors(x))[0]", "return _prime_factors(x)[0][0]",
+        ("tests/test_core_arith.py",),
+        "least_prime_divisor factors the cofactor above the least prime, and "
+        "refuses 2 * P^2 when P^2 is beyond PRIME_LIMIT",
     ),
     Mutant(
         "12-bases", ARITH,

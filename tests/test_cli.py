@@ -645,6 +645,36 @@ def test_decompose_precondition_failure_exits_65():
     assert code == EXIT_PRECONDITION
 
 
+# (3, 4, 5) and (1, 2, 3), a solution of x0^2 + 2*x1^2 = x2^2, times 2P^2,
+# where P = 10000000000037 is prime and P^2 is beyond the proven prime range.
+_BIG_345 = "600000000004440000000008214 800000000005920000000010952 1000000000007400000000013690"
+_BIG_123 = "200000000001480000000002738 400000000002960000000005476 600000000004440000000008214"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (f"decompose triple {_BIG_345}", EXIT_OK,
+         ["i=0 a=900000000006660000000012321 b=100000000000740000000001369"
+          "  (non-primitive, common factor 2)"], ""),
+        (f"decompose frenicle {_BIG_345} 2", EXIT_PRECONDITION, [],
+         f"precondition failure: ({_BIG_345.replace(' ', ', ')}) shares the prime factor 2\n"),
+        (f"decompose two-square {_BIG_123}", EXIT_PRECONDITION, [],
+         f"precondition failure: ({_BIG_123.replace(' ', ', ')}) shares the prime factor 2\n"),
+        # Not a solution of the two-square equation: that is reported first.
+        (f"decompose two-square {_BIG_345}", EXIT_PRECONDITION, [],
+         "precondition failure: 600000000004440000000008214^2 + 2*800000000005920000000010952^2"
+         " != 1000000000007400000000013690^2\n"),
+    ],
+    ids=["triple", "frenicle", "two-square", "two-square-not-a-solution"],
+)
+def test_decompose_finds_a_small_common_factor_beside_a_cofactor_it_cannot_factor(
+    argv, code, out, err, capsys
+):
+    assert run_cli(*argv.split()) == (code, out)
+    assert capsys.readouterr().err == err
+
+
 def test_unknown_command_exits_64():
     code, _ = run_cli("nosuchcmd")
     assert code == EXIT_USAGE

@@ -196,7 +196,7 @@ def test_least_prime_divisor():
 
 def test_proper_divisor_step():
     # The VII.31 step that `descent vii31` runs divides out the largest prime.
-    step = vii31_rd_instance().step
+    (step,) = vii31_rd_instance().steps
     assert step(1) is None
     assert step(13) is None
     assert step(15) == 3  # divide out 5
@@ -258,6 +258,17 @@ def test_balanced_semiprime_near_1e18():
     assert least_prime_divisor(x) == 1000000007
 
 
+def test_least_prime_divisor_does_not_factor_the_cofactor():
+    """2 * P^2 with P prime and P^2 beyond PRIME_LIMIT cannot be factored,
+    but trial division finds 2 first, and that is returned at once."""
+    x = 2 * 10000000000037**2
+    assert 10000000000037**2 >= PRIME_LIMIT
+    with pytest.raises(DomainError):
+        factorize(x)
+    assert least_prime_divisor(x) == 2
+    assert common_prime_witness([3 * x, 4 * x, 5 * x]) == 2
+
+
 def test_factorize_beyond_prime_limit():
     # Small factors are still found; a large cofactor is refused.
     assert factorize(2**100 * 3**5).factors == ((2, 100), (3, 5))
@@ -265,7 +276,7 @@ def test_factorize_beyond_prime_limit():
         with pytest.raises(DomainError):
             factorize(x)
         with pytest.raises(DomainError):
-            vii31_rd_instance().step(x)
+            vii31_rd_instance().steps[0](x)
 
 
 def test_factorize_does_not_prove_its_primes_again(monkeypatch):

@@ -13,8 +13,6 @@ from descente.descent_engine import (
     DescentInstance,
     DescentTrace,
     Failure,
-    IndexedDescentFamily,
-    ReductionDescentInstance,
     Report,
     TraceEntry,
     check_id,
@@ -81,7 +79,7 @@ def test_check_id_vii31_vacuous():
 
 
 def test_check_id_always_true_predicate():
-    inst = DescentInstance("trivial", lambda v: True, lambda v: v, lambda v: None)
+    inst = DescentInstance("trivial", (lambda v: True,), lambda v: v, (lambda v: None,))
     assert check_id(inst, 100).ok
 
 
@@ -90,9 +88,9 @@ def test_check_id_detects_weight_increase():
     for target in (7, 5):
         inst = DescentInstance(
             "bad-weight",
-            predicate=lambda v: v != 5,
+            predicates=(lambda v: v != 5,),
             weight=lambda v: v,
-            step=lambda v: target if v == 5 else None,
+            steps=(lambda v: target if v == 5 else None,),
         )
         report = check_id(inst, 10)
         assert not report.ok
@@ -103,9 +101,9 @@ def test_check_id_detects_weight_increase():
 def test_check_id_detects_undefined_step_and_bad_target():
     inst = DescentInstance(
         "bad-step",
-        predicate=lambda v: v not in (4, 6),
+        predicates=(lambda v: v not in (4, 6),),
         weight=lambda v: v,
-        step=lambda v: {6: 3}.get(v),  # undefined at 4; 3 satisfies P at 6
+        steps=(lambda v: {6: 3}.get(v),),  # undefined at 4; 3 satisfies P at 6
     )
     report = check_id(inst, 10)
     kinds = {f.value: f.kind for f in report.failures}
@@ -116,7 +114,7 @@ def test_check_id_captures_step_exceptions_as_data():
     def step(v):
         raise RuntimeError("boom")
 
-    inst = DescentInstance("raises", lambda v: v != 3, lambda v: v, step)
+    inst = DescentInstance("raises", (lambda v: v != 3,), lambda v: v, (step,))
     report = check_id(inst, 5)
     assert [f.kind for f in report.failures] == ["step-error"]
 
@@ -136,19 +134,19 @@ def test_check_rd_gcd_pairs_up_to_200():
 
 
 def test_check_rd_trivial():
-    inst = ReductionDescentInstance(
-        "trivial", lambda v: True, lambda v: True, lambda v: v, lambda v: None
+    inst = DescentInstance(
+        "trivial", (lambda v: True,), lambda v: v, (lambda v: None,), base=lambda v: True
     )
     assert check_rd(inst, 50).ok
 
 
 def test_check_rd_base_without_predicate():
-    inst = ReductionDescentInstance(
+    inst = DescentInstance(
         "s-not-p",
-        base=lambda v: v == 3,
-        predicate=lambda v: False,
+        predicates=(lambda v: False,),
         weight=lambda v: v,
-        step=lambda v: 0 if v else None,
+        steps=(lambda v: 0 if v else None,),
+        base=lambda v: v == 3,
     )
     report = check_rd(inst, 5)
     assert any(f.value == 3 and f.kind == "base-without-predicate" for f in report.failures)
@@ -163,7 +161,7 @@ def test_check_rd_records_only_the_base_failure_and_calls_no_step_there():
         stepped.append(v)
         raise RuntimeError("boom")
 
-    inst = ReductionDescentInstance("base", lambda v: v == 3, lambda v: v != 3, lambda v: v, step)
+    inst = DescentInstance("base", (lambda v: v != 3,), lambda v: v, (step,), base=lambda v: v == 3)
     assert [(f.value, f.index, f.kind, f.detail) for f in check_rd(inst, 5).failures] == [
         (3, None, "base-without-predicate", "base holds but predicate fails"),
     ]
@@ -173,11 +171,64 @@ def test_check_rd_records_only_the_base_failure_and_calls_no_step_there():
 def test_check_id_records_a_kept_weight_before_a_satisfying_output():
     """A step output that keeps the weight and satisfies the predicate gives
     both failures at its value, weight-not-decreased first."""
-    inst = DescentInstance("both", lambda v: v != 4, lambda v: v // 2, lambda v: 5)
+    inst = DescentInstance("both", (lambda v: v != 4,), lambda v: v // 2, (lambda v: 5,))
     assert [(f.value, f.index, f.kind, f.detail) for f in check_id(inst, 6).failures] == [
         (4, None, "weight-not-decreased", "weight 2 -> 2"),
         (4, None, "step-not-counterexample", "step output 5 satisfies the predicate"),
     ]
+
+
+def _true(v: int) -> bool:
+    return True
+
+
+# One instance of each shape: one predicate or two, without a base or with one.
+SHAPES = {
+    "id": DescentInstance("one", (_true,), abs, (abs,)),
+    "rd": DescentInstance("one", (_true,), abs, (abs,), base=_true),
+    "family": DescentInstance("two", (_true, _true), abs, (abs, abs)),
+    "family with a base": DescentInstance("two", (_true, _true), abs, (abs, abs), base=_true),
+}
+
+
+@pytest.mark.parametrize("schema, check, base", [("id", check_id, "no base"),
+                                                 ("rd", check_rd, "a base")])
+def test_id_and_rd_checks_take_one_predicate_and_their_own_base(schema, check, base):
+    """check_id takes one predicate and no base, check_rd one predicate and
+    a base, and each raises DomainError on any other shape; rd_to_id takes
+    what check_rd takes, and check_id_prime takes every shape."""
+    for shape, inst in SHAPES.items():
+        assert check_id_prime(inst, 5).ok
+        if shape == schema:
+            assert check(inst, 5).ok
+            continue
+        message = f"^the {schema} schema takes one predicate and {base}$"
+        with pytest.raises(DomainError, match=message):
+            check(inst, 5)
+        if schema == "rd":
+            with pytest.raises(DomainError, match="^the rd schema takes"):
+                rd_to_id(inst)
+    assert check_id(rd_to_id(SHAPES["rd"]), 5).ok
+
+
+def test_run_descent_walks_by_the_base_when_there_is_one():
+    """With a base, a walk tests the base alone and steps by steps[0], the
+    predicates unread; without one, a family's walk reads its predicates."""
+    calls = []
+
+    def spy(tag, result):
+        return lambda v: calls.append((tag, v)) or result(v)
+
+    fam = DescentInstance(
+        "two", (spy("P0", _true), spy("P1", _true)), abs,
+        (spy("step0", lambda v: v - 1), spy("step1", lambda v: v - 2)),
+        base=spy("base", lambda v: v == 0),
+    )
+    assert [e.value for e in run_descent(fam, 2, 10).entries] == [2, 1, 0]
+    assert calls == [("base", 2), ("step0", 2), ("base", 1), ("step0", 1), ("base", 0)]
+    calls.clear()
+    assert len(run_descent(fam._replace(base=None), 2, 10).entries) == 1
+    assert calls == [("P0", 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +247,14 @@ def test_rd_to_id_vii31():
 
 
 def test_rd_to_id_trivial_all_true():
-    inst = ReductionDescentInstance(
-        "true", lambda v: True, lambda v: True, lambda v: v, lambda v: None
+    inst = DescentInstance(
+        "true", (lambda v: True,), lambda v: v, (lambda v: None,), base=lambda v: True
     )
     out = rd_to_id(inst)
-    assert all(out.predicate(v) for v in range(100))
+    assert all(out.predicates[0](v) for v in range(100))
 
 
-def _random_rd_instance(rng: random.Random, bound: int) -> ReductionDescentInstance:
+def _random_rd_instance(rng: random.Random, bound: int) -> DescentInstance:
     """A well-formed RD instance over [0, bound]: S subset of P, and every
     non-P value steps to a strictly smaller non-P value (descending chains
     through the non-P set, escaping above the bound at the chain's end)."""
@@ -211,12 +262,12 @@ def _random_rd_instance(rng: random.Random, bound: int) -> ReductionDescentInsta
     if style == 0:
         # P covers everything; S is a random subset.  Obligations vacuous.
         s = {v for v in range(bound + 1) if rng.random() < 0.3}
-        return ReductionDescentInstance(
+        return DescentInstance(
             f"rand-vacuous-{rng.randrange(10**6)}",
-            base=lambda v, s=s: v in s,
-            predicate=lambda v: True,
+            predicates=(lambda v: True,),
             weight=lambda v: v,
-            step=lambda v: None,
+            steps=(lambda v: None,),
+            base=lambda v, s=s: v in s,
         )
     # Non-P values inside the window step to non-P partners above the bound
     # with strictly smaller weight; the checker certifies obligations only at
@@ -230,12 +281,12 @@ def _random_rd_instance(rng: random.Random, bound: int) -> ReductionDescentInsta
         # source v has weight 2(v+1); its partner has 2(v+1) - 1
         return 2 * (v + 1) if v <= bound else 2 * (v - bound) - 1
 
-    return ReductionDescentInstance(
+    return DescentInstance(
         f"rand-chain-{rng.randrange(10**6)}",
-        base=lambda v, s=s: v in s,
-        predicate=lambda v, b=bad_set: v not in b,
+        predicates=(lambda v, b=bad_set: v not in b,),
         weight=weight,
-        step=lambda v, n=partners: n.get(v),
+        steps=(lambda v, n=partners: n.get(v),),
+        base=lambda v, s=s: v in s,
     )
 
 
@@ -252,21 +303,22 @@ def test_rd_to_id_preserves_empty_reports_randomized():
         assert id_report.ok, id_report.failures[:3]
 
 
-def _base_first_check_rd(inst: ReductionDescentInstance, bound: int) -> Report:
+def _base_first_check_rd(inst: DescentInstance, bound: int) -> Report:
     """check_rd as it read base at every value, before the predicate, with
     the step obligations stated here rather than taken from the engine."""
+    (predicate,), (step,) = inst.predicates, inst.steps
     failures = []
     for v in range(bound + 1):
         if inst.base(v):
-            if not inst.predicate(v):
+            if not predicate(v):
                 failures.append(
                     Failure(v, None, "base-without-predicate", "base holds but predicate fails")
                 )
             continue
-        if inst.predicate(v):
+        if predicate(v):
             continue
         try:
-            u = inst.step(v)
+            u = step(v)
         except Exception as exc:
             failures.append(Failure(v, None, "step-error", f"step raised {exc!r}"))
             continue
@@ -277,18 +329,21 @@ def _base_first_check_rd(inst: ReductionDescentInstance, bound: int) -> Report:
         before, after = inst.weight(v), inst.weight(u)
         if after >= before:
             failures.append(Failure(v, None, "weight-not-decreased", f"weight {before} -> {after}"))
-        if inst.predicate(u):
+        if predicate(u):
             detail = f"step output {u} satisfies the predicate"
             failures.append(Failure(v, None, "step-not-counterexample", detail))
     return Report("rd", inst.name, bound, tuple(failures))
 
 
-def _base_first_rd_to_id(inst: ReductionDescentInstance) -> DescentInstance:
+def _base_first_rd_to_id(inst: DescentInstance) -> DescentInstance:
     def holds(z: int) -> bool:
-        return inst.base(z) or inst.predicate(z)
+        return inst.base(z) or inst.predicates[0](z)
 
     return DescentInstance(
-        f"{inst.name}-as-id", holds, inst.weight, lambda z: None if holds(z) else inst.step(z)
+        f"{inst.name}-as-id",
+        (holds,),
+        inst.weight,
+        (lambda z: None if holds(z) else inst.steps[0](z),),
     )
 
 
@@ -299,7 +354,7 @@ def _step_outcome(step, v):
         return exc.args
 
 
-def _random_broken_rd_instance(rng: random.Random, bound: int) -> ReductionDescentInstance:
+def _random_broken_rd_instance(rng: random.Random, bound: int) -> DescentInstance:
     """An RD instance over tables, most of them broken: base values off the
     predicate, steps that are undefined, raise, do not lower the weight, or
     land where the predicate holds."""
@@ -314,12 +369,12 @@ def _random_broken_rd_instance(rng: random.Random, bound: int) -> ReductionDesce
             raise ValueError(v)
         return u
 
-    return ReductionDescentInstance(
+    return DescentInstance(
         f"broken-{rng.randrange(10**6)}",
-        base=base.__contains__,
-        predicate=lambda v: v not in fails,
+        predicates=(lambda v: v not in fails,),
         weight=weights.__getitem__,
-        step=step,
+        steps=(step,),
+        base=base.__contains__,
     )
 
 
@@ -336,10 +391,10 @@ def test_check_rd_and_rd_to_id_match_base_first_order_randomized():
         as_id, base_first = rd_to_id(inst), _base_first_rd_to_id(inst)
         assert check_id(as_id, bound) == check_id(base_first, bound)
         for v in range(bound + 1):
-            assert as_id.predicate(v) == base_first.predicate(v)
+            assert as_id.predicates[0](v) == base_first.predicates[0](v)
             # The engine calls a step only where the predicate fails.
-            if not as_id.predicate(v):
-                assert _step_outcome(as_id.step, v) == _step_outcome(base_first.step, v)
+            if not as_id.predicates[0](v):
+                assert _step_outcome(as_id.steps[0], v) == _step_outcome(base_first.steps[0], v)
         kinds |= {f.kind for f in report.failures}
     assert kinds == {
         "base-without-predicate",
@@ -388,14 +443,14 @@ def test_engine_calls_a_step_only_where_the_predicate_just_failed():
     for _ in range(100):
         rd, other = _random_broken_rd_instance(rng, bound), _random_broken_rd_instance(rng, bound)
         spy = _ContractSpy()
-        p, base = spy.test("P", rd.predicate), spy.test("B", rd.base)
-        inst = DescentInstance("id", p, rd.weight, spy.step("P", rd.step))
-        as_rd = ReductionDescentInstance("rd", base, p, rd.weight, spy.step("PB", rd.step))
-        fam = IndexedDescentFamily(
+        p, base = spy.test("P", rd.predicates[0]), spy.test("B", rd.base)
+        inst = DescentInstance("id", (p,), rd.weight, (spy.step("P", rd.steps[0]),))
+        as_rd = DescentInstance("rd", (p,), rd.weight, (spy.step("PB", rd.steps[0]),), base=base)
+        fam = DescentInstance(
             "idprime",
-            (p, spy.test("Q", other.predicate)),
+            (p, spy.test("Q", other.predicates[0])),
             rd.weight,
-            (inst.step, spy.step("Q", other.step)),
+            (inst.steps[0], spy.step("Q", other.steps[0])),
         )
         check_id(inst, bound)
         check_rd(as_rd, bound)
@@ -442,20 +497,20 @@ def test_tagged_candidates_lose_no_failure(tag, k, r, bound):
     def weight(v: int) -> int:
         return v
 
-    report = check_id(DescentInstance("t", fast, weight, _tangled_step), bound)
-    assert report == check_id(DescentInstance("t", plain, weight, _tangled_step), bound)
-    undefined = check_id(DescentInstance("t", fast, weight, lambda v: None), bound)
+    report = check_id(DescentInstance("t", (fast,), weight, (_tangled_step,)), bound)
+    assert report == check_id(DescentInstance("t", (plain,), weight, (_tangled_step,)), bound)
+    undefined = check_id(DescentInstance("t", (fast,), weight, (lambda v: None,)), bound)
     assert [f.value for f in undefined.failures] == [
         pair_encode(tag, t) for t in range(len(fiber)) if t % k == r
     ]
 
     def fam(p0, p1):
-        return IndexedDescentFamily("t", (p0, p1), weight, (_tangled_step, _tangled_step))
+        return DescentInstance("t", (p0, p1), weight, (_tangled_step, _tangled_step))
 
     assert check_id_prime(fam(fast, other), bound) == check_id_prime(fam(plain, plain_other), bound)
 
     def rd(p):
-        return ReductionDescentInstance("t", lambda v: v % 3 == 0, p, weight, _tangled_step)
+        return DescentInstance("t", (p,), weight, (_tangled_step,), base=lambda v: v % 3 == 0)
 
     assert check_rd(rd(fast), bound) == check_rd(rd(plain), bound)
 
@@ -513,8 +568,8 @@ def test_id_prime_single_family_agrees_with_id_randomized():
         pred = lambda v, b=bad: v not in b
         step = lambda v, n=nxt: n.get(v)
         weight = lambda v: v
-        inst = DescentInstance("rand", pred, weight, step)
-        fam = IndexedDescentFamily("rand", (pred,), weight, (step,))
+        inst = DescentInstance("rand", (pred,), weight, (step,))
+        fam = DescentInstance("rand", (pred,), weight, (step,))
         id_report = check_id(inst, bound)
         idp_report = check_id_prime(fam, bound)
         assert id_report.ok == idp_report.ok
@@ -524,7 +579,7 @@ def test_id_prime_single_family_agrees_with_id_randomized():
 
 
 def test_id_prime_detects_step_landing_on_satisfying_value():
-    fam = IndexedDescentFamily(
+    fam = DescentInstance(
         "two",
         predicates=(lambda v: v != 7, lambda v: True),
         weight=lambda v: v,
@@ -536,7 +591,7 @@ def test_id_prime_detects_step_landing_on_satisfying_value():
 
 
 def test_id_prime_steps_into_the_next_predicate_and_the_last_into_itself():
-    fam = IndexedDescentFamily(
+    fam = DescentInstance(
         "shift",
         predicates=(lambda v: v != 9, lambda v: v not in (3, 5)),
         weight=lambda v: v,
@@ -548,24 +603,24 @@ def test_id_prime_steps_into_the_next_predicate_and_the_last_into_itself():
 
 def test_id_prime_requires_nonempty_family():
     with pytest.raises(DomainError):
-        IndexedDescentFamily("empty", (), lambda v: v, ())
+        DescentInstance("empty", (), lambda v: v, ())
 
 
 def test_id_prime_requires_one_step_per_predicate():
     with pytest.raises(DomainError, match="one step per predicate required"):
-        IndexedDescentFamily("short", (lambda v: True,), lambda v: v, (None, None))
+        DescentInstance("short", (lambda v: True,), lambda v: v, (None, None))
     with pytest.raises(DomainError, match="one step per predicate required"):
-        IndexedDescentFamily("long", (lambda v: True,) * 2, lambda v: v, (None,))
+        DescentInstance("long", (lambda v: True,) * 2, lambda v: v, (None,))
 
 
 def test_family_make_and_replace_check_like_the_constructor():
     """_make and _replace build a family through __new__, so neither drops a
     step or every predicate; a replacement that keeps the counts works."""
-    fam = IndexedDescentFamily("two", (lambda v: True,) * 2, lambda v: v, (None, None))
+    fam = DescentInstance("two", (lambda v: True,) * 2, lambda v: v, (None, None))
     with pytest.raises(DomainError, match="^one step per predicate required$"):
         fam._replace(steps=fam.steps[:1])
     with pytest.raises(DomainError, match="^predicate family must be nonempty$"):
-        IndexedDescentFamily._make(("x", (), lambda v: v, (), str))
+        DescentInstance._make(("x", (), lambda v: v, (), str))
     assert fam._replace(name="renamed") == ("renamed", *fam[1:])
 
 
@@ -581,7 +636,7 @@ def test_run_descent_pentagon_8_5():
     assert [e.weight for e in trace.entries] == [8, 3, 1]
 
 
-def vii31_walk() -> ReductionDescentInstance:
+def vii31_walk() -> DescentInstance:
     """The walk that `descent vii31` runs: the RD instance, under the name
     its trace records carry."""
     return vii31_rd_instance()._replace(name="vii31")
@@ -665,20 +720,22 @@ def test_vii31_walk_is_pure_off_its_memo():
     values = list(range(400)) + [2**40, 2**39 * 3, 7**5]
     for v in values[::-1] + values:
         expected = vii31_reference_at(v)
-        assert (walk.base(v), walk.step(v), walk.describe(v)) == expected
-        assert (cli_walk.base(v), cli_walk.step(v), cli_walk.describe(v)) == expected
-        assert (inst.predicate(v), inst.step(v), inst.describe(v)) == (True, *expected[1:])
+        assert (walk.base(v), walk.steps[0](v), walk.describe(v)) == expected
+        assert (cli_walk.base(v), cli_walk.steps[0](v), cli_walk.describe(v)) == expected
+        assert (inst.predicates[0](v), inst.steps[0](v), inst.describe(v)) == (
+            True, *expected[1:]
+        )
     for i in (walk, inst, cli_walk):
         for v in (-1, -12):
             with pytest.raises(DomainError):
-                i.step(v)
+                i.steps[0](v)
             with pytest.raises(DomainError):
                 i.describe(v)
 
 
 def test_run_descent_bound_exceeded():
     inst = DescentInstance(
-        "down", lambda v: False, lambda v: v, lambda v: v - 1 if v else None
+        "down", (lambda v: False,), lambda v: v, (lambda v: v - 1 if v else None,)
     )
     trace = run_descent(inst, 50, 3)
     assert trace.outcome == "bound-exceeded"
@@ -688,7 +745,7 @@ def test_run_descent_bound_exceeded():
 def test_run_descent_tests_the_predicate_before_the_step_cap():
     """A walk whose predicate holds after exactly max_steps steps ends
     predicate-holds; one step fewer allowed ends it bound-exceeded."""
-    inst = DescentInstance("down", lambda v: v == 0, lambda v: v, lambda v: v - 1)
+    inst = DescentInstance("down", (lambda v: v == 0,), lambda v: v, (lambda v: v - 1,))
     for max_steps, outcome, values in [
         (5, "predicate-holds", [5, 4, 3, 2, 1, 0]),
         (4, "bound-exceeded", [5, 4, 3, 2, 1]),
@@ -699,7 +756,7 @@ def test_run_descent_tests_the_predicate_before_the_step_cap():
 
 @pytest.mark.parametrize("max_steps", [0, -1])
 def test_run_descent_with_no_steps_allowed_ends_at_a_failing_start(max_steps):
-    inst = DescentInstance("down", lambda v: v == 0, lambda v: v, lambda v: v - 1)
+    inst = DescentInstance("down", (lambda v: v == 0,), lambda v: v, (lambda v: v - 1,))
     trace = run_descent(inst, 5, max_steps)
     assert (trace.outcome, len(trace.entries)) == ("bound-exceeded", 1)
     assert run_descent(inst, 0, max_steps).outcome == "predicate-holds"
@@ -743,19 +800,16 @@ def test_reading_a_builtin_instance_keeps_one_memo_entry():
     under 100 KB: the memo keeps the last value only, not every value read."""
     import tracemalloc
 
-    reads = [
-        (vii31_rd_instance(), "base"),
-        (gcd_instance(), "base"),
-        (pentagon_instance(), "predicate"),
-    ]
+    vii31, gcd, pentagon = vii31_rd_instance(), gcd_instance(), pentagon_instance()
+    reads = [(vii31, vii31.base), (gcd, gcd.base), (pentagon, pentagon.predicates[0])]
     for inst, test in reads:  # warm up: imports and first calls allocate once
-        getattr(inst, test)(12), inst.describe(12)
+        test(12), inst.describe(12)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for inst, test in reads:
             for v in range(20_000):
-                getattr(inst, test)(v), inst.describe(v)
+                test(v), inst.describe(v)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -782,7 +836,7 @@ def trace_entry_records(instance: str, walk: list[tuple[int, str]]) -> list[dict
 
 def test_run_descent_ends_weight_not_decreased_as_data():
     # Steps from 5 to 3, then to 4: the second step raises the weight.
-    inst = DescentInstance("up", lambda v: v == 0, lambda v: v, lambda v: {5: 3, 3: 4}[v])
+    inst = DescentInstance("up", (lambda v: v == 0,), lambda v: v, (lambda v: {5: 3, 3: 4}[v],))
     trace = run_descent(inst, 5, 10)
     assert trace.outcome == "weight-not-decreased"
     assert [e.weight for e in trace.entries] == [5, 3, 4]
@@ -791,12 +845,12 @@ def test_run_descent_ends_weight_not_decreased_as_data():
         {"record": "trace", "instance": "up", "outcome": "weight-not-decreased", "entries": 3},
     ]
     assert text(trace.rows())[-1] == "outcome: weight-not-decreased"
-    flat = DescentInstance("flat", lambda v: False, lambda v: 7, lambda v: v + 1)
+    flat = DescentInstance("flat", (lambda v: False,), lambda v: 7, (lambda v: v + 1,))
     assert [e.value for e in run_descent(flat, 1, 10).entries] == [1, 2]
 
 
 def test_run_descent_ends_step_error_as_data():
-    inst = DescentInstance("div", lambda v: v == 1, lambda v: v, lambda v: 12 // (v - 4))
+    inst = DescentInstance("div", (lambda v: v == 1,), lambda v: v, (lambda v: 12 // (v - 4),))
     trace = run_descent(inst, 4, 10)
     assert (trace.outcome, len(trace.entries)) == ("step-error", 1)
     assert [json.loads(line) for line in jsonl(trace.rows())] == [
@@ -810,7 +864,7 @@ def test_run_descent_passes_domain_errors_through():
         raise DomainError("beyond the proven range")
 
     with pytest.raises(DomainError, match="proven range"):
-        run_descent(DescentInstance("x", lambda v: False, lambda v: v, step), 9, 10)
+        run_descent(DescentInstance("x", (lambda v: False,), lambda v: v, (step,)), 9, 10)
 
 
 def test_trace_weights_must_strictly_decrease():

@@ -18,8 +18,8 @@ from descente import CheckedRecord, DomainError, certificate, fermat
 from descente.certificate import primitive_triples, scan_generator_block
 from descente.core_arith import Factorization, coprime
 from descente.descent_engine import (
+    DescentInstance,
     DescentTrace,
-    IndexedDescentFamily,
     TraceEntry,
     check_id,
     check_id_prime,
@@ -184,7 +184,7 @@ def test_claim_ii_data_messages(fields, message):
         (ClaimIData, None, None, (1, 0, 1, 1, 0)),
         (ClaimIIData, None, None, (1, 2, 3, 4)),
         (
-            IndexedDescentFamily,
+            DescentInstance,
             ("f", (bool,), abs, (abs,), str),
             ("g", (bool, bool), abs, (abs, abs), str),
             ("f", (bool,), abs, (), str),
@@ -221,7 +221,7 @@ def test_every_record_that_checks_its_fields_is_a_checked_record():
                     and hasattr(cls, "_fields") and "__new__" in vars(cls)
                     and tuple not in cls.__bases__):
                 records[name] = cls
-    assert {"Factorization", "IndexedDescentFamily", "DescentTrace", "PythTriple",
+    assert {"Factorization", "DescentInstance", "DescentTrace", "PythTriple",
             "Generators", "ClaimIData", "ClaimIIData", "NormalForm"} <= set(records)
     assert [name for name, cls in records.items() if not issubclass(cls, CheckedRecord)] == []
 
@@ -389,8 +389,6 @@ def test_run_descent_walks_a_family_by_its_index():
     every later value, the pairing that check_id_prime certifies.  No
     claim-II state exists, so the real family's steps cannot tell which one
     ran; a stand-in family records each predicate and step it calls."""
-    from descente.descent_engine import IndexedDescentFamily
-
     calls = []
 
     def pred(i):
@@ -399,7 +397,7 @@ def test_run_descent_walks_a_family_by_its_index():
     def step(i):
         return lambda v: calls.append((f"step{i}", v)) or v - 1
 
-    fam = IndexedDescentFamily("two", (pred(0), pred(1)), lambda v: v, (step(0), step(1)))
+    fam = DescentInstance("two", (pred(0), pred(1)), lambda v: v, (step(0), step(1)))
     trace = run_descent(fam, 3, 10)
     assert [e.value for e in trace.entries] == [3, 2, 1, 0]
     assert trace.outcome == "predicate-holds"
@@ -437,7 +435,7 @@ def _by_full_decoding(v, form):
 
 def _by_checked_predicates(v):
     p0, p1 = walsh_family().predicates
-    return fermat_instance().predicate(v), p0(v), p1(v)
+    return fermat_instance().predicates[0](v), p0(v), p1(v)
 
 
 FORMS = {
@@ -453,7 +451,7 @@ FORMS = {
 def test_checked_predicates_agree_with_full_decoding_below_200000(form, monkeypatch):
     for name, relaxed in FORMS[form].items():
         monkeypatch.setattr(fermat, name, relaxed)
-    fermat_p = fermat_instance().predicate
+    (fermat_p,) = fermat_instance().predicates
     p0, p1 = walsh_family().predicates
     values = range(200_000)
     got = [(fermat_p(v), p0(v), p1(v)) for v in values]
@@ -537,7 +535,7 @@ def test_check_without_the_area_conjunct_fails_at_exactly_the_triple_codes(monke
     from .oracles import brute_triple_codes
 
     monkeypatch.setattr(fermat, "_solves", FORMS["relaxed"]["_solves"])
-    inst = fermat_instance()._replace(step=lambda v: None)
+    inst = fermat_instance()._replace(steps=(lambda v: None,))
     report = check_id(inst, 300_000)
     assert [f.value for f in report.failures] == list(brute_triple_codes(300_000))
 
@@ -556,7 +554,7 @@ def test_fermat_step_runs_to_its_first_broken_precondition(quad, message, monkey
     for name, relaxed in FORMS["relaxed"].items():
         monkeypatch.setattr(fermat, name, relaxed)
     with pytest.raises(DomainError) as exc:
-        fermat_instance().step(quad_encode(*quad))
+        fermat_instance().steps[0](quad_encode(*quad))
     assert str(exc.value) == message
 
 
