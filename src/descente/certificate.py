@@ -184,9 +184,12 @@ def cmd_search(bound: int, cache_path: str | None) -> tuple:
     start = time.monotonic()
     found = search(bound, cache_path)
     elapsed = round(time.monotonic() - start, 3)
-    rows = [(f"counterexample: ({x0}, {x1}, {x2}, {x3})",
-             {"record": "solution", "x0": x0, "x1": x1, "x2": x2, "x3": x3})
-            for x0, x1, x2, x3 in found]
-    rows.append((f"bound {bound}: {len(found)} counterexample(s) in {elapsed}s",
-                 {"record": "footer", "bound": bound, "count": len(found), "elapsed": elapsed}))
-    return EXIT_COUNTEREXAMPLE if found else EXIT_OK, rows
+    rows = [{"record": "solution", **dict(zip(("x0", "x1", "x2", "x3"), s))} for s in found]
+    rows.append({"record": "footer", "bound": bound, "count": len(found), "elapsed": elapsed})
+    return EXIT_COUNTEREXAMPLE if found else EXIT_OK, rows, _search_text
+
+
+def _search_text(row: dict) -> str:
+    if row["record"] == "solution":
+        return f"counterexample: ({row['x0']}, {row['x1']}, {row['x2']}, {row['x3']})"
+    return f"bound {row['bound']}: {row['count']} counterexample(s) in {row['elapsed']}s"

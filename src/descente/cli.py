@@ -8,10 +8,11 @@ that module when the command runs, so a command compiles no other command's
 code.  No package module imports this one: under `python -m descente.cli`
 it runs as __main__, and an import would compile it a second time.
 
-A body returns its exit code and rows, each a text line and its JSONL
-record, or raises: main alone maps UsageError, DomainError and OSError to
-64, 65 and 1, each with one stderr line, and writes one of the two per row
-as --format says.  descente.jsonl writes each record as one flat line.
+A body returns its exit code, its rows (its JSONL records, in output
+order) and text, which makes a row's text line (str for decompose and help,
+whose rows are their lines), or raises: main alone maps UsageError,
+DomainError and OSError to 64, 65 and 1, each with one stderr line, and
+writes text(row) or, under --format jsonl, descente.jsonl's dumps(row).
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ FORMAT = {"--format": (("text", "jsonl"), "text", "text or jsonl (default: text)
 
 # Each command: the module whose cmd_<command> runs it, which takes its
 # positionals and then its options other than --format, in this order, and
-# returns (exit code, rows); its help line; its positionals as (name, type
-# or choices), where list takes every remaining value as an int; and its
-# options as name: (type or choices, default, help line), where bool makes
-# a flag.
+# returns (exit code, rows, text); its help line; its positionals as (name,
+# type or choices), where list takes every remaining value as an int; and
+# its options as name: (type or choices, default, help line), where bool
+# makes a flag.
 COMMANDS = {
     "triples": ("diophantine", "enumerate Pythagorean triples", [("max_x2", int)],
                 {"--primitive-only": (bool, False, "primitive triples only"), **FORMAT}),
@@ -132,13 +133,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         args = parse(argv)
         if args is None:
-            fmt, code, rows = "text", EXIT_OK, [(help_text(command), None)]
+            fmt, code, rows, text = "text", EXIT_OK, [help_text(command)], str
         else:
             from importlib import import_module
 
             fmt = args.pop("--format", "text")
             module = import_module(f"descente.{COMMANDS[command][0]}")
-            code, rows = getattr(module, f"cmd_{command}")(*args.values())
+            code, rows, text = getattr(module, f"cmd_{command}")(*args.values())
     except UsageError as exc:
         print(usage(command), f"descente: error: {exc}", sep="\n", file=sys.stderr)
         return EXIT_USAGE
@@ -149,13 +150,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_IO
     if fmt == "jsonl":
-        from .jsonl import dumps
-
-        for _, record in rows:
-            print(dumps(record), file=out)
-    else:
-        for text, _ in rows:
-            print(text, file=out)
+        from .jsonl import dumps as text
+    for row in rows:
+        print(text(row), file=out)
     return code
 
 

@@ -110,10 +110,11 @@ class DescentInstance(
 # reports and traces
 
 
-# A report's or trace's rows() yields its output, each row a text line and
-# its JSONL record; cli.main writes one of the two.  Failure and TraceEntry
-# keep their fields in the order that their records list them, so that
-# rows() spreads _asdict().
+# A report's or trace's rows() yields its output as JSONL records, and its
+# text function turns a record into its text line; cli.main calls only the
+# one of dumps and text that --format names.  Failure and TraceEntry keep
+# their fields in the order that their records list them, so that rows()
+# spreads _asdict().
 Failure = namedtuple("Failure", "value index kind detail")
 
 
@@ -124,16 +125,21 @@ class Report(namedtuple("Report", "schema instance bound failures")):
     def ok(self) -> bool:
         return not self.failures
 
-    def rows(self) -> Iterator[tuple[str, dict]]:
+    def rows(self) -> Iterator[dict]:
         head = {"record": "failure", "schema": self.schema, "instance": self.instance}
         for f in self.failures:
-            index = "" if f.index is None else f"P_{f.index}"
-            yield f"{f.value:>12}  {index:<4}  {f.kind:<24}  {f.detail}", {**head, **f._asdict()}
-        verdict = "ok" if self.ok else f"{len(self.failures)} failure(s)"
+            yield {**head, **f._asdict()}
         # "record" keeps its first place in the dict when head's value is replaced.
-        yield (f"{self.schema} check of '{self.instance}' up to {self.bound}: {verdict}",
-               {**head, "record": "report", "bound": self.bound,
-                "failures": len(self.failures), "ok": self.ok})
+        yield {**head, "record": "report", "bound": self.bound,
+               "failures": len(self.failures), "ok": self.ok}
+
+    @staticmethod
+    def text(row: dict) -> str:
+        if row["record"] == "failure":
+            index = "" if row["index"] is None else f"P_{row['index']}"
+            return f"{row['value']:>12}  {index:<4}  {row['kind']:<24}  {row['detail']}"
+        verdict = "ok" if row["ok"] else f"{row['failures']} failure(s)"
+        return f"{row['schema']} check of '{row['instance']}' up to {row['bound']}: {verdict}"
 
 
 TraceEntry = namedtuple("TraceEntry", "value weight label")
@@ -169,14 +175,22 @@ class DescentTrace(CheckedRecord, namedtuple("DescentTrace", "instance entries o
             raise DomainError("trace weights must strictly decrease")
         return tuple.__new__(cls, (instance, entries, outcome))
 
-    def rows(self) -> Iterator[tuple[str, dict]]:
-        weights = [str(e.weight) for e in self.entries]  # one decimal conversion each
-        width = max(map(len, weights), default=1)
+    def rows(self) -> Iterator[dict]:
         head = {"record": "trace-entry", "instance": self.instance}
-        for e, weight in zip(self.entries, weights):
-            yield f"  weight {weight:>{width}}  {e.label}", {**head, **e._asdict()}
-        yield (f"outcome: {self.outcome}",
-               {**head, "record": "trace", "outcome": self.outcome, "entries": len(self.entries)})
+        for e in self.entries:
+            yield {**head, **e._asdict()}
+        yield {**head, "record": "trace", "outcome": self.outcome, "entries": len(self.entries)}
+
+    def text(self) -> Callable[[dict], str]:
+        """The text line of a row, each weight aligned to the widest."""
+        # The weights are ints, so the widest decimal is the largest's or the
+        # smallest's: the width takes two conversions, not one per entry.
+        # cmd_descent makes this function in both forms, so a JSONL walk
+        # makes these two and no other.
+        weights = [e.weight for e in self.entries] or [0]
+        width = max(len(str(max(weights))), len(str(min(weights))))
+        return lambda row: (f"outcome: {row['outcome']}" if row["record"] == "trace" else
+                            f"  weight {row['weight']!s:>{width}}  {row['label']}")
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +539,13 @@ INSTANCES = {
 START_LIMIT = 10**2000
 
 
+# The text of a guard-rejection record: one fixed message, filled from the
+# record by str.format_map.
+_GUARD = ("guard rejection: ({x0}, {x1}, {x2}, {x3}) is not a counterexample (needs positive "
+          "legs, x0^2 + x1^2 = x2^2 and x0*x1 = 2*x3^2)\nno descent to run; see "
+          "`check id fermat N` and `search --bound N` for the vacuity certificates")
+
+
 def cmd_descent(name: str, values: list[int]) -> tuple:
     if any(v < 0 for v in values):
         raise UsageError("start values must be naturals")
@@ -536,19 +557,15 @@ def cmd_descent(name: str, values: list[int]) -> tuple:
     if len(values) != arity:
         raise UsageError(f"instance {name!r} takes {arity} start value(s)")
     inst, start = trace_factory(values)
-    trace = run_descent(inst, start, max_steps=10_000)
     # A fermat or walsh descent starts only from a counterexample, which the
     # theorem rules out; it is wired anyway so a falsifying input descends.
-    # Any other start ends its trace at once, where the predicate holds.
-    if name in ("fermat", "walsh") and (
-        trace.outcome == "predicate-holds" and len(trace.entries) == 1
-    ):
-        text = (f"guard rejection: ({', '.join(map(str, values))}) is not a counterexample (needs "
-                "positive legs, x0^2 + x1^2 = x2^2 and x0*x1 = 2*x3^2)\nno descent to run; see "
-                "`check id fermat N` and `search --bound N` for the vacuity certificates")
-        coords = dict(zip(("x0", "x1", "x2", "x3"), values))
-        return EXIT_OK, [(text, {"record": "guard-rejection", "instance": name, **coords})]
-    return EXIT_OK, trace.rows()
+    # Any other start is rejected here: its walk would end at once, where
+    # the first predicate holds.
+    if name in ("fermat", "walsh") and inst.predicates[0](start):
+        quad = dict(zip(("x0", "x1", "x2", "x3"), values))
+        return EXIT_OK, [{"record": "guard-rejection", "instance": name, **quad}], _GUARD.format_map
+    trace = run_descent(inst, start, max_steps=10_000)
+    return EXIT_OK, trace.rows(), trace.text()
 
 
 def cmd_check(schema: str, name: str, bound: int) -> tuple:
@@ -561,4 +578,4 @@ def cmd_check(schema: str, name: str, bound: int) -> tuple:
     if bound > limit:
         raise UsageError(f"bound must be <= {limit}")
     report = factory(bound)
-    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE, report.rows()
+    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE, report.rows(), report.text

@@ -159,24 +159,28 @@ def cmd_triples(max_x2: int, primitive_only: bool) -> tuple:
         heapify(heap)
         while heap:
             x2, x0, x1, d, a, b, c, p, q = top = heap[0]
-            tail = "" if d == 1 else f"  non-primitive, factor {d}"
-            yield (f"({x0}, {x1}, {x2})  p={p} q={q}{tail}",
-                   {"record": "triple", "x0": x0, "x1": x1, "x2": x2, "p": p, "q": q,
-                    "factor": d, "primitive": d == 1})
+            yield {"record": "triple", "x0": x0, "x1": x1, "x2": x2, "p": p, "q": q,
+                   "factor": d, "primitive": d == 1}
             if primitive_only or x2 + c > max_x2:
                 heappop(heap)
             else:
                 top[:4] = x2 + c, x0 + a, x1 + b, d + 1
                 heapreplace(heap, top)
 
-    return EXIT_OK, rows()
+    return EXIT_OK, rows(), _triple_text
+
+
+def _triple_text(row: dict) -> str:
+    # An f-string of lookups: with str.format_map, `triples 100000` took 15%
+    # longer in text (in-process, Python 3.11.7, 2 CPUs).
+    tail = "" if row["primitive"] else f"  non-primitive, factor {row['factor']}"
+    return f"({row['x0']}, {row['x1']}, {row['x2']})  p={row['p']} q={row['q']}{tail}"
 
 
 def cmd_decompose(kind: str, values: list[int]) -> tuple:
-    """The decomposition of kind of values.  The command line's parser has
-    already checked the kind; the count of values is checked before their
-    signs, so `decompose triple -1 2` reports the count.  It has no JSONL
-    form, so its one row's record is None."""
+    """The decomposition of kind of values, whose kind the parser checked.
+    The count is checked before the signs: `decompose triple -1 2` reports
+    the count.  With no JSONL form, its row is its text line, its text str."""
     n = 4 if kind == "frenicle" else 3
     if len(values) != n:
         raise UsageError(f"decompose {kind} takes {n} values")
@@ -192,4 +196,4 @@ def cmd_decompose(kind: str, values: list[int]) -> tuple:
         line = "m={} k={}".format(*decompose_primitive_two_square(*values))
     else:
         line = "m={} k={}".format(*frenicle_xxxviii(PythTriple(*values[:3]), values[3]))
-    return EXIT_OK, [(line, None)]
+    return EXIT_OK, [line], str

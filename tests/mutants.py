@@ -35,22 +35,27 @@ ARITH = "src/descente/core_arith.py"
 DIOPH = "src/descente/diophantine.py"
 INIT = "src/descente/__init__.py"
 
-# The two parts of Report.rows, the failure rows and then the verdict row.
+# The two parts of Report.rows, the failure records and then the verdict record.
 _FAILURE_ROWS = (
     "        for f in self.failures:\n"
-    '            index = "" if f.index is None else f"P_{f.index}"\n'
-    '            yield f"{f.value:>12}  {index:<4}  {f.kind:<24}  {f.detail}", '
-    "{**head, **f._asdict()}\n"
+    "            yield {**head, **f._asdict()}\n"
 )
 _VERDICT_ROW = (
-    '        verdict = "ok" if self.ok else f"{len(self.failures)} failure(s)"\n'
     "        # \"record\" keeps its first place in the dict when head's value is replaced.\n"
-    "        yield (f\"{self.schema} check of '{self.instance}' up to {self.bound}: {verdict}\",\n"
-    '               {**head, "record": "report", "bound": self.bound,\n'
-    '                "failures": len(self.failures), "ok": self.ok})\n'
+    '        yield {**head, "record": "report", "bound": self.bound,\n'
+    '               "failures": len(self.failures), "ok": self.ok}\n'
 )
 
 MUTANTS = [
+    Mutant(
+        "search-builds-text", CERT,
+        '    return EXIT_COUNTEREXAMPLE if found else EXIT_OK, rows, _search_text\n',
+        '    rows = [(_search_text(row), row)[1] for row in rows]\n'
+        '    return EXIT_COUNTEREXAMPLE if found else EXIT_OK, rows, _search_text\n',
+        ("tests/test_cli.py::test_each_run_builds_only_the_form_it_writes",),
+        "search makes each row's text line before main picks the form, and JSONL "
+        "discards it",
+    ),
     Mutant(
         "search-bound", CERT,
         "if p * p + q * q <= bound_x2:", "if p * p + q * q < bound_x2:",
@@ -191,6 +196,15 @@ MUTANTS = [
         "a precondition failure exits 64, as a usage error",
     ),
     Mutant(
+        "jsonl-builds-text", CLI,
+        '    if fmt == "jsonl":\n        from .jsonl import dumps as text\n',
+        '    rows = [(text(row), row)[1] for row in rows]\n'
+        '    if fmt == "jsonl":\n        from .jsonl import dumps as text\n',
+        ("tests/test_cli.py::test_each_run_builds_only_the_form_it_writes",),
+        "every row is formatted as text before main picks the form, and JSONL "
+        "discards it",
+    ),
+    Mutant(
         "no-freeze", CLI,
         "    gc.freeze()\n", "",
         ("tests/test_certificate.py",),
@@ -308,6 +322,28 @@ MUTANTS = [
         _FAILURE_ROWS + _VERDICT_ROW, _VERDICT_ROW + _FAILURE_ROWS,
         ("tests/test_descent.py",),
         "a report's rows give the verdict before the failure rows",
+    ),
+    Mutant(
+        "width-from-max", ENGINE,
+        "width = max(len(str(max(weights))), len(str(min(weights))))",
+        "width = len(str(max(weights)))",
+        ("tests/test_descent.py",),
+        "a trace's text aligns its weights to the largest, and a wider negative "
+        "weight pushes its column out",
+    ),
+    Mutant(
+        "trace-rows-format-weight", ENGINE,
+        "        for e in self.entries:\n",
+        "        weights = [str(e.weight) for e in self.entries]\n        for e in self.entries:\n",
+        ("tests/test_descent.py::test_rows_are_records_that_convert_nothing_to_text",),
+        "a trace's rows make a decimal of each weight, which a JSONL run discards",
+    ),
+    Mutant(
+        "report-rows-build-text", ENGINE,
+        "            yield {**head, **f._asdict()}\n",
+        "            yield (self.text({**head, **f._asdict()}), {**head, **f._asdict()})[1]\n",
+        ("tests/test_descent.py::test_rows_are_records_that_convert_nothing_to_text",),
+        "a report's rows make each failure's text line, which a JSONL run discards",
     ),
     Mutant(
         "memo-no-seed", ENGINE,

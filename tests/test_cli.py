@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -766,6 +767,57 @@ def test_search_bound_equals_value_and_no_option_prefix():
 
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_IO, EXIT_COUNTEREXAMPLE, EXIT_USAGE, EXIT_PRECONDITION}) == 5
+
+
+# ---------------------------------------------------------------------------
+# each run builds only the form it writes
+
+
+def _no_form(row):
+    raise AssertionError(f"formatted in the form not written: {row!r}")
+
+
+def _masked(result):
+    """run_cli's result with a search footer's elapsed seconds masked."""
+    code, lines = result
+    return code, [re.sub(r'(in |"elapsed": )[0-9.]+', r"\1X", line) for line in lines]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("triples", "30"), ("search", "--bound", "10"), ("descent", "gcd", "89", "55"),
+     ("descent", "walsh", "3", "4", "5", "1"), ("check", "rd", "gcd", "50")],
+    ids=" ".join,
+)
+def test_each_run_builds_only_the_form_it_writes(argv, monkeypatch):
+    """A JSONL run writes what it writes unpatched with every text function
+    made to raise: the body's returned one, and each one that a body or a
+    rows() could call (Report.text, the line function of DescentTrace.text,
+    the search and triple text functions, the guard's template).  A text
+    run writes what it writes unpatched with jsonl.dumps made to raise.  So
+    no run formats a row in the form that it does not write.  A descent
+    makes its text function, and the width in it, in both forms: two
+    decimal conversions, not one per row.  test_descent checks that rows()
+    convert nothing to text."""
+    import importlib
+
+    from descente import certificate, descent_engine, diophantine, jsonl
+    from descente.cli import COMMANDS
+    from descente.descent_engine import DescentTrace, Report
+
+    want = {fmt: _masked(run_cli(*argv, "--format", fmt)) for fmt in ("text", "jsonl")}
+    module = importlib.import_module(f"descente.{COMMANDS[argv[0]][0]}")
+    body = getattr(module, f"cmd_{argv[0]}")
+    with monkeypatch.context() as patched:
+        patched.setattr(module, f"cmd_{argv[0]}", lambda *a: (*body(*a)[:2], _no_form))
+        patched.setattr(Report, "text", staticmethod(_no_form))
+        patched.setattr(DescentTrace, "text", lambda self: _no_form)
+        patched.setattr(certificate, "_search_text", _no_form)
+        patched.setattr(diophantine, "_triple_text", _no_form)
+        patched.setattr(descent_engine, "_GUARD", SimpleNamespace(format_map=_no_form))
+        assert _masked(run_cli(*argv, "--format", "jsonl")) == want["jsonl"]
+    monkeypatch.setattr(jsonl, "dumps", _no_form)
+    assert _masked(run_cli(*argv)) == want["text"]
 
 
 # ---------------------------------------------------------------------------

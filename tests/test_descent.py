@@ -817,13 +817,13 @@ def test_reading_a_builtin_instance_keeps_one_memo_entry():
 
 
 def jsonl(rows) -> list[str]:
-    """The JSONL lines of rows: dumps of each row's record."""
-    return [dumps(record) for _, record in rows]
+    """The JSONL lines of rows, which are records."""
+    return [dumps(record) for record in rows]
 
 
-def text(rows) -> list[str]:
-    """The text lines of rows."""
-    return [line for line, _ in rows]
+def text(rows, line) -> list[str]:
+    """The text lines of rows, made by their text function line."""
+    return [line(record) for record in rows]
 
 
 def trace_entry_records(instance: str, walk: list[tuple[int, str]]) -> list[dict]:
@@ -844,9 +844,56 @@ def test_run_descent_ends_weight_not_decreased_as_data():
         *trace_entry_records("up", [(5, "5"), (3, "3"), (4, "4")]),
         {"record": "trace", "instance": "up", "outcome": "weight-not-decreased", "entries": 3},
     ]
-    assert text(trace.rows())[-1] == "outcome: weight-not-decreased"
+    assert text(trace.rows(), trace.text())[-1] == "outcome: weight-not-decreased"
     flat = DescentInstance("flat", (lambda v: False,), lambda v: 7, (lambda v: v + 1,))
     assert [e.value for e in run_descent(flat, 1, 10).entries] == [1, 2]
+
+
+def test_trace_text_aligns_every_weight_to_the_widest():
+    """The weights are right-aligned to the widest decimal among them, be it
+    the last entry's (a weight-not-decreased trace) or a negative weight's."""
+    up = DescentInstance("up", (lambda v: v == 0,), lambda v: v, (lambda v: {5: 3, 3: 40}[v],))
+    trace = run_descent(up, 5, 10)
+    assert text(trace.rows(), trace.text()) == [
+        "  weight  5  5", "  weight  3  3", "  weight 40  40", "outcome: weight-not-decreased",
+    ]
+    entries = (TraceEntry(0, 9, "nine"), TraceEntry(1, -10, "minus ten"))
+    trace = DescentTrace("negative", entries, "predicate-holds")
+    assert text(trace.rows(), trace.text()) == [
+        "  weight   9  nine", "  weight -10  minus ten", "outcome: predicate-holds",
+    ]
+
+
+def _no_text(*_):
+    raise AssertionError("an int converted to text")
+
+
+class Untextable(int):
+    """An int that refuses every conversion to text but int.__repr__'s."""
+
+    __str__ = __repr__ = __format__ = _no_text
+
+
+def test_rows_are_records_that_convert_nothing_to_text():
+    """rows() yields records only: with values and weights that refuse every
+    conversion to text, a trace's and a report's rows are yielded and
+    dumped.  A rows() that made a text line, or a decimal of each weight,
+    would raise."""
+    u = Untextable
+    trace = DescentTrace("t", (TraceEntry(u(8), u(2), "eight"), TraceEntry(u(5), u(1), "five")),
+                         "predicate-holds")
+    assert jsonl(trace.rows()) == [
+        '{"record": "trace-entry", "instance": "t", "value": 8, "weight": 2, "label": "eight"}',
+        '{"record": "trace-entry", "instance": "t", "value": 5, "weight": 1, "label": "five"}',
+        '{"record": "trace", "instance": "t", "outcome": "predicate-holds", "entries": 2}',
+    ]
+    report = Report("id", "r", u(9), (Failure(u(7), u(0), "step-undefined", "none"),))
+    assert jsonl(report.rows()) == [
+        '{"record": "failure", "schema": "id", "instance": "r", "value": 7, "index": 0, '
+        '"kind": "step-undefined", "detail": "none"}',
+        '{"record": "report", "schema": "id", "instance": "r", "bound": 9, "failures": 1, '
+        '"ok": false}',
+    ]
 
 
 def test_run_descent_ends_step_error_as_data():
@@ -960,9 +1007,9 @@ def test_report_jsonl_round_trip():
 
 def test_report_text_rendering():
     report = check_id(vii31_instance(), 10)
-    lines = text(report.rows())
+    lines = text(report.rows(), report.text)
     assert lines[-1] == "id check of 'vii31' up to 10: ok"
-    assert text(DEMO_REPORT.rows()) == [
+    assert text(DEMO_REPORT.rows(), Report.text) == [
         "           5        weight-not-decreased      weight 5 -> 7",
         "           6  P_1   step-undefined            x",
         "id check of 'demo' up to 42: 2 failure(s)",
