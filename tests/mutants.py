@@ -34,6 +34,7 @@ ENGINE = "src/descente/descent_engine.py"
 ARITH = "src/descente/core_arith.py"
 DIOPH = "src/descente/diophantine.py"
 INIT = "src/descente/__init__.py"
+JSONL = "src/descente/jsonl.py"
 
 # The two parts of Report.rows, the failure records and then the verdict record.
 _FAILURE_ROWS = (
@@ -203,6 +204,31 @@ MUTANTS = [
         ("tests/test_cli.py::test_each_run_builds_only_the_form_it_writes",),
         "every row is formatted as text before main picks the form, and JSONL "
         "discards it",
+    ),
+    Mutant(
+        "jsonl-non-ascii", JSONL,
+        "from _json import encode_basestring_ascii, make_encoder",
+        "from _json import encode_basestring as encode_basestring_ascii, make_encoder",
+        ("tests/test_jsonl.py::test_writer_on_each_character_class",),
+        "strings keep their non-ASCII characters, which json.dumps escapes",
+    ),
+    Mutant(
+        "jsonl-compact", JSONL,
+        '": ", ", "', '":", ","',
+        ("tests/test_jsonl.py::test_writer_on_each_character_class",),
+        "records are written without json.dumps's spaces after ':' and ','",
+    ),
+    Mutant(
+        "jsonl-no-nan", JSONL,
+        "False, False, True)", "False, False, False)",
+        ("tests/test_jsonl.py::test_writer_on_non_finite_floats_and_int_subclasses",),
+        "NaN and the infinities raise, where json.dumps writes them",
+    ),
+    Mutant(
+        "jsonl-shared-markers", JSONL,
+        "make_encoder(None, _reject,", "make_encoder({}, _reject,",
+        ("tests/test_jsonl.py::test_a_record_whose_encoding_raises_is_not_kept",),
+        "the shared encoder's markers dict keeps every record whose encoding raised",
     ),
     Mutant(
         "no-freeze", CLI,

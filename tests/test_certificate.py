@@ -202,7 +202,8 @@ def test_cli_import_loads_no_argparse_and_no_json():
     assert (proc.returncode, out) == (0, "[]\n"), err
 
 
-# No command loads json or argparse.
+# No command loads json or argparse, and no text run loads the JSONL writer
+# or the C encoder it builds on.
 TEXT_ARGVS = [
     "search --bound 10",
     "triples 30",
@@ -221,7 +222,7 @@ TEXT_ARGVS = [
 
 @pytest.mark.parametrize("argv", TEXT_ARGVS)
 def test_text_output_loads_no_json(argv):
-    _assert_loads_none_of(argv, ("json", "argparse"))
+    _assert_loads_none_of(argv, ("json", "argparse", "descente.jsonl", "_json"))
 
 
 # Every command above that takes --format writes its JSONL records without

@@ -515,9 +515,9 @@ _GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encod
 
 @pytest.mark.parametrize("command", list(_GOLDEN))
 def test_checks_and_descents_match_golden_output(command, capsys):
-    """Exit code and stdout, byte for byte, of each schema check and each
-    descent kind (walks, guard rejections) in text and jsonl, as recorded in
-    golden_cli.json; nothing on stderr."""
+    """Exit code and stdout, byte for byte, of each schema check, each
+    descent kind (walks, guard rejections) and a triples listing in text and
+    jsonl, as recorded in golden_cli.json; nothing on stderr."""
     out = io.StringIO()
     code = main(command.split(), out=out)
     want = _GOLDEN[command]

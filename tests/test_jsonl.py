@@ -1,7 +1,10 @@
-"""The JSON-lines writer against json.dumps, on flat records."""
+"""The JSON-lines writer against json.dumps."""
 
+import gc
 import json
 import math
+import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -27,12 +30,19 @@ VALUES = st.one_of(
     st.integers(min_value=-(2**200), max_value=-(2**64)),
     st.booleans(),
     st.none(),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(),
+)
+# json writes an int, float, bool or None key as the text of its value.
+KEYS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+NESTED = st.recursive(
+    VALUES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=16,
 )
 
 
 @settings(max_examples=200)
-@given(st.dictionaries(TEXT, VALUES, max_size=8))
+@given(st.dictionaries(KEYS, NESTED, max_size=8))
 def test_writer_equals_json_dumps(record):
     assert dumps(record) == json.dumps(record)
 
@@ -54,7 +64,25 @@ def test_writer_on_non_finite_floats_and_int_subclasses():
     assert dumps(record) == json.dumps(record)
 
 
+@pytest.mark.parametrize("record", [{"x": {1}}, {"x": object()}, {(1, 2): 3}])
+def test_writer_rejects_what_json_rejects_with_its_message(record):
+    with pytest.raises(TypeError) as want:
+        json.dumps(record)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        dumps(record)
 
-def test_writer_rejects_a_nested_value():
-    with pytest.raises(TypeError, match="a JSONL record holds no list"):
-        dumps({"x": [1]})
+
+def test_a_record_whose_encoding_raises_is_not_kept():
+    """The encoder is shared by every call, so it must keep nothing of a
+    record whose encoding failed half way."""
+
+    class Record(dict):
+        pass
+
+    record = Record(x=object())
+    kept = weakref.ref(record)
+    with pytest.raises(TypeError):
+        dumps(record)
+    del record
+    gc.collect()
+    assert kept() is None
